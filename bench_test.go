@@ -5,8 +5,6 @@
 // cmd/privehd-experiments instead.
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"context"
 	"net"
@@ -257,7 +255,10 @@ func BenchmarkServingThroughput(b *testing.B) {
 	}
 
 	b.Run("single-conn", func(b *testing.B) {
-		remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
+		// The bare wire configuration: one connection, no i/o timeout.
+		remote, err := privehd.Connect(context.Background(),
+			privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologySingle},
+			privehd.WithEdge(edge), privehd.WithConnectPool(privehd.WithPoolIOTimeout(-1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +275,9 @@ func BenchmarkServingThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
 	b.Run("pooled", func(b *testing.B) {
-		pool, err := privehd.DialPool(context.Background(), "tcp", addr, edge, privehd.WithPoolSize(4))
+		pool, err := privehd.Connect(context.Background(),
+			privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologyPool},
+			privehd.WithEdge(edge), privehd.WithConnectPool(privehd.WithPoolSize(4)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,8 +347,7 @@ func BenchmarkShardedPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	sharded := client.(*privehd.Sharded)
-	q, err := sharded.Edge().Prepare(X[0])
+	q, err := client.Edge().Prepare(X[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,7 +355,7 @@ func BenchmarkShardedPredict(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := sharded.PredictPrepared(q); err != nil {
+			if _, _, err := client.PredictPrepared(q); err != nil {
 				b.Error(err)
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"time"
 
 	"privehd/internal/cluster"
@@ -12,16 +13,16 @@ import (
 	"privehd/internal/shard"
 )
 
-// Client is the topology-independent inference surface: one interface
-// whether the fleet behind it is a single connection (Remote), a pooled
-// address (Pool), a replicated fleet (Cluster), or a model split across
-// shard replicas (Sharded). Code written against Client chooses its
-// serving topology with a Connect Target — a flag, not a code path.
+// Client is the topology-independent inference surface: one client
+// whether the fleet behind it is a single connection, a pooled address, a
+// replicated fleet, or a model split across shard replicas. Code written
+// against Client chooses its serving topology with a Connect Target — a
+// flag, not a code path — and reads what it resolved to from Status.
 //
-// Every implementation pairs the connections with a local Edge, so the
-// §III-C privacy story is identical across topologies: inputs are
-// encoded, quantized and masked on the device, and only obfuscated
-// hypervectors cross the network.
+// Every client pairs its connections with a local Edge, so the §III-C
+// privacy story is identical across topologies: inputs are encoded,
+// quantized and masked on the device, and only obfuscated hypervectors
+// cross the network. All methods are safe for concurrent use.
 type Client interface {
 	// Predict obfuscates one input on the edge and classifies it
 	// remotely, returning the predicted label and per-class scores.
@@ -30,49 +31,227 @@ type Client interface {
 	// budget is stamped on every request frame (Request.BudgetNs), so
 	// servers shed work that can no longer answer in time, and
 	// cancellation aborts client-side waits. A deadline exceeded on the
-	// way out or in a server shed surfaces as ErrDeadlineExceeded.
+	// way out or in a server shed surfaces as ErrDeadlineExceeded. With
+	// hedging enabled (Target.Hedge, WithHedging) a slow attempt races a
+	// backup replica, first reply wins.
 	PredictContext(ctx context.Context, x []float64) (int, []float64, error)
-	// PredictBatch obfuscates and classifies a batch of inputs.
+	// PredictPrepared classifies an already-prepared query hypervector
+	// (the output of Edge().Prepare).
+	PredictPrepared(q []float64) (int, []float64, error)
+	// PredictPreparedContext is PredictPrepared bounded by ctx (see
+	// PredictContext for the deadline and hedging semantics).
+	PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error)
+	// PredictBatch obfuscates and classifies a batch of inputs, splitting
+	// it into frames of at most the server's MaxBatch queries.
 	PredictBatch(X [][]float64) ([]int, error)
-	// ListModels returns the serving registry's current listing.
+	// ListModels returns the serving registry's current listing — every
+	// served model's name, version, geometry and public encoder setup,
+	// with the default flagged.
 	ListModels() ([]ModelInfo, error)
-	// Traces snapshots the process-wide client-side flight recorder —
-	// the slowest and most recent errored traced requests this process
-	// has sent (see SetTraceSampling).
-	Traces() TraceSnapshot
+	// Edge returns the edge obfuscating the client's queries: the one
+	// passed with WithEdge, or the one Connect auto-configured from the
+	// server's advertised encoder setup.
+	Edge() *Edge
+	// Status snapshots what the client is connected to.
+	Status() ClientStatus
 	// Close releases the client's connections.
 	Close() error
 }
 
-// Compile-time checks: every serving topology implements Client.
-var (
-	_ Client = (*Remote)(nil)
-	_ Client = (*Pool)(nil)
-	_ Client = (*Cluster)(nil)
-	_ Client = (*Sharded)(nil)
+// ClientStatus is a point-in-time snapshot of a connected Client.
+type ClientStatus struct {
+	// Topology is the resolved topology — never TopologyAuto.
+	Topology Topology
+	// Model and ModelVersion identify the served model the client is
+	// bound to, as of the handshake (hot swaps after it bump the version
+	// server-side).
+	Model        string
+	ModelVersion int
+	// Dim and Classes are the whole served model's geometry; MaxBatch is
+	// the server's advertised per-frame query limit.
+	Dim, Classes, MaxBatch int
+	// Replicas lists every server address in use with its health and
+	// load. A single connection reports one replica; a sharded client
+	// reports the replicas of every shard group.
+	Replicas []ReplicaStatus
+	// Shards lists the shard descriptors of a sharded client, one per
+	// failover group; nil for every other topology.
+	Shards []ShardInfo
+}
+
+// BalancePolicy selects how cluster and sharded clients spread requests
+// over healthy replicas.
+type BalancePolicy = cluster.Policy
+
+const (
+	// LeastInFlight sends each request to the healthy replica with the
+	// fewest outstanding requests (the default) — adaptive to replicas of
+	// unequal speed.
+	LeastInFlight = cluster.LeastInFlight
+	// RoundRobin cycles through healthy replicas in order.
+	RoundRobin = cluster.RoundRobin
 )
+
+// ReplicaStatus is one replica's health snapshot: its address, whether it
+// is currently admitted for traffic, and its connection/in-flight counts.
+type ReplicaStatus = cluster.ReplicaStatus
+
+// transport is what a client sends prepared queries through.
+// *offload.Client (one pipelined connection), *cluster.Pool and
+// *cluster.Cluster implement it directly; shardTransport adapts the
+// scatter–gather coordinator.
+type transport interface {
+	Classify(ctx context.Context, q []float64) (int, []float64, error)
+	ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error)
+	ListModels(ctx context.Context) ([]offload.ModelListing, error)
+	Close() error
+}
+
+// shardTransport packs each prepared query once and scatters it across
+// the shard groups, gathering exact integer partial scores.
+type shardTransport struct{ *shard.Coordinator }
+
+func (s shardTransport) Classify(ctx context.Context, q []float64) (int, []float64, error) {
+	packed, err := packPrepared(q)
+	if err != nil {
+		return 0, nil, err
+	}
+	return s.PredictPacked(ctx, packed)
+}
+
+func (s shardTransport) ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error) {
+	packed := make([][]int8, len(qs))
+	for i, q := range qs {
+		var err error
+		if packed[i], err = packPrepared(q); err != nil {
+			return nil, err
+		}
+	}
+	labels, _, err := s.PredictPackedBatch(ctx, packed)
+	return labels, err
+}
+
+// packPrepared converts one prepared query to the packed wire form, or
+// explains why sharded serving cannot carry it.
+func packPrepared(q []float64) ([]int8, error) {
+	p, ok := offload.PackQuery(q)
+	if !ok {
+		return nil, fmt.Errorf("%w: query is not quantized (WithRawQueries is incompatible with sharded serving)",
+			ErrPartialUnsupported)
+	}
+	return p, nil
+}
+
+// client is the one Client implementation: an edge, the handshake it was
+// configured from, and the transport of the resolved topology.
+type client struct {
+	topo  Topology
+	edge  *Edge
+	hello offload.ServerHello
+	tr    transport
+}
+
+func (c *client) Edge() *Edge { return c.edge }
+
+func (c *client) Predict(x []float64) (int, []float64, error) {
+	return c.PredictContext(context.Background(), x)
+}
+
+func (c *client) PredictContext(ctx context.Context, x []float64) (int, []float64, error) {
+	q, err := c.edge.Prepare(x)
+	if err != nil {
+		return 0, nil, err
+	}
+	return c.tr.Classify(ctx, q)
+}
+
+func (c *client) PredictPrepared(q []float64) (int, []float64, error) {
+	return c.PredictPreparedContext(context.Background(), q)
+}
+
+func (c *client) PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error) {
+	if len(q) != c.edge.Dim() {
+		return 0, nil, fmt.Errorf("privehd: prepared query has dim %d, edge dim %d", len(q), c.edge.Dim())
+	}
+	return c.tr.Classify(ctx, q)
+}
+
+func (c *client) PredictBatch(X [][]float64) ([]int, error) {
+	qs, err := c.edge.PrepareBatch(X)
+	if err != nil {
+		return nil, err
+	}
+	return c.tr.ClassifyBatch(context.Background(), qs)
+}
+
+func (c *client) ListModels() ([]ModelInfo, error) {
+	listings, err := c.tr.ListModels(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return modelInfosFromListings(listings), nil
+}
+
+func (c *client) Status() ClientStatus {
+	st := ClientStatus{
+		Topology:     c.topo,
+		Model:        c.hello.Model,
+		ModelVersion: c.hello.ModelVersion,
+		Dim:          c.hello.Dim,
+		Classes:      c.hello.Classes,
+		MaxBatch:     c.hello.MaxBatch,
+	}
+	switch t := c.tr.(type) {
+	case *offload.Client:
+		healthy := t.Err() == nil
+		conns := 0
+		if healthy {
+			conns = 1
+		}
+		st.Replicas = []ReplicaStatus{{Addr: t.Peer(), Healthy: healthy, Conns: conns}}
+	case *cluster.Pool:
+		st.Replicas = []ReplicaStatus{t.Status()}
+	case *cluster.Cluster:
+		st.Replicas = t.Replicas()
+	case shardTransport:
+		st.Replicas = t.Replicas()
+		st.Shards = t.Groups()
+	}
+	return st
+}
+
+func (c *client) Close() error { return c.tr.Close() }
 
 // Topology selects how Connect arranges connections over the target
 // addresses.
 type Topology int
 
 const (
-	// TopologyAuto picks for you: one address dials a Pool; several
-	// addresses dial the first reachable one and build a Sharded client
-	// if it advertises a shard descriptor, a Cluster otherwise.
+	// TopologyAuto picks for you: one address is pooled; several
+	// addresses dial the first reachable one and shard the client if it
+	// advertises a shard descriptor, cluster it otherwise.
 	TopologyAuto Topology = iota
-	// TopologySingle is one pipelined connection (a Remote) to the first
-	// address.
+	// TopologySingle is one pipelined connection to the first address.
 	TopologySingle
 	// TopologyPool is a bounded pool of reused connections to the first
-	// address.
+	// address: requests from every goroutine interleave over (at most)
+	// WithPoolSize connections, new connections are dialed only when the
+	// live ones are saturated, idle ones are reaped, broken ones are
+	// redialed with backoff, and a query failing with ErrTransport is
+	// retried once on another connection (classification is idempotent).
 	TopologyPool
 	// TopologyCluster load-balances over the addresses as whole-model
-	// replicas with health-tracked failover.
+	// replicas, each behind its own pool: a replica whose transport fails
+	// is ejected and its in-flight requests retried on another, and
+	// health probes re-admit it once it answers again. Callers only see
+	// ErrNoHealthyReplicas when the whole fleet is down, or a typed
+	// protocol error a live server actually answered.
 	TopologyCluster
 	// TopologySharded treats the addresses as slices of one logical
 	// model (dimension and/or class shards) and scatter–gathers every
-	// prediction across them.
+	// prediction across them, bit-identically to serving the unsplit
+	// model. Replicas serving the same slice form a failover group. It
+	// requires quantized queries: WithRawQueries edges are refused.
 	TopologySharded
 )
 
@@ -121,6 +300,7 @@ type Target struct {
 	// first.
 	Addrs []string
 	// Model selects the served model (empty for each server's default).
+	// Unknown names are refused with ErrUnknownModel.
 	Model string
 	// Topology arranges the connections (default TopologyAuto).
 	Topology Topology
@@ -132,16 +312,17 @@ type Target struct {
 	Hedge bool
 }
 
-// ConnectOption configures Connect.
+// ConnectOption configures Connect and ConnectConn.
 type ConnectOption func(*connectConfig)
 
 type connectConfig struct {
-	edge   *Edge
-	pool   poolConfig
-	policy BalancePolicy
-	probe  time.Duration
-	hedge  *cluster.HedgePolicy
-	logger *slog.Logger
+	edge     *Edge
+	edgeOpts []Option
+	pool     cluster.PoolConfig
+	policy   BalancePolicy
+	probe    time.Duration
+	hedge    *cluster.HedgePolicy
+	logger   *slog.Logger
 }
 
 // WithEdge supplies the Edge whose obfuscated queries the client should
@@ -155,7 +336,58 @@ func WithEdge(e *Edge) ConnectOption {
 // defences WithQueryMask and WithRawQueries — for the edge Connect
 // auto-configures. Ignored when WithEdge provides one.
 func WithEdgeOptions(opts ...Option) ConnectOption {
-	return func(c *connectConfig) { c.pool.edgeOpts = append(c.pool.edgeOpts, opts...) }
+	return func(c *connectConfig) { c.edgeOpts = append(c.edgeOpts, opts...) }
+}
+
+// PoolOption tunes the connections Connect builds (see WithConnectPool).
+type PoolOption func(*cluster.PoolConfig)
+
+// WithPoolSize bounds how many connections each pool keeps (default 4).
+func WithPoolSize(n int) PoolOption {
+	return func(c *cluster.PoolConfig) {
+		if n > 0 {
+			c.Size = n
+		}
+	}
+}
+
+// WithPoolMaxInFlight sets how many requests may be outstanding on one
+// pooled connection before the pool prefers opening another (default 32).
+func WithPoolMaxInFlight(n int) PoolOption {
+	return func(c *cluster.PoolConfig) {
+		if n > 0 {
+			c.MaxInFlightPerConn = n
+		}
+	}
+}
+
+// WithPoolIOTimeout bounds how long a connection waits for progress: each
+// frame write must complete within d, and whenever requests are in flight
+// a reply must arrive within d of the last one (idle connections never
+// time out). On expiry every in-flight call fails with an error wrapping
+// ErrIOTimeout. Every topology defaults to 30s, so a hung server can never
+// block a Predict forever; pass d ≤ 0 to disable the bound.
+func WithPoolIOTimeout(d time.Duration) PoolOption {
+	return func(c *cluster.PoolConfig) {
+		if d <= 0 {
+			c.IOTimeout = -1
+			return
+		}
+		c.IOTimeout = d
+	}
+}
+
+// WithPoolIdleTimeout sets how long an unused pooled connection may linger
+// before being closed (default 90s); pass d ≤ 0 to keep idle connections
+// forever.
+func WithPoolIdleTimeout(d time.Duration) PoolOption {
+	return func(c *cluster.PoolConfig) {
+		if d <= 0 {
+			c.IdleTimeout = -1
+			return
+		}
+		c.IdleTimeout = d
+	}
 }
 
 // WithConnectPool applies per-address pool options (WithPoolSize,
@@ -175,8 +407,10 @@ func WithConnectPolicy(p BalancePolicy) ConnectOption {
 	return func(c *connectConfig) { c.policy = p }
 }
 
-// WithConnectProbeInterval sets replica health-probe cadence for cluster
-// and sharded topologies (default 2s; d ≤ 0 disables probing).
+// WithConnectProbeInterval sets how often cluster and sharded topologies
+// health-probe replicas and re-admit ejected ones (default 2s). Pass
+// d ≤ 0 to disable probing — a dead replica then only recovers when all
+// replicas were ejected and traffic falls back to retrying them.
 func WithConnectProbeInterval(d time.Duration) ConnectOption {
 	return func(c *connectConfig) {
 		if d <= 0 {
@@ -203,20 +437,51 @@ func WithHedging(d time.Duration) ConnectOption {
 }
 
 // WithConnectLogger routes structured health-transition events of cluster
-// and sharded topologies to log. By default they are discarded.
+// and sharded topologies (replica ejected / re-admitted, with address and
+// reason) to log. By default they are discarded.
 func WithConnectLogger(log *slog.Logger) ConnectOption {
 	return func(c *connectConfig) { c.logger = log }
+}
+
+func newConnectConfig(opts []ConnectOption) connectConfig {
+	var cfg connectConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// hello is the handshake every connection of the client sends: the
+// requested model, and the edge's dimensionality when one was supplied
+// (zero asks the server to configure the edge from its answer).
+func (cfg connectConfig) hello(model string) offload.Hello {
+	h := offload.Hello{Model: model}
+	if cfg.edge != nil {
+		h.Dim = cfg.edge.Dim()
+	}
+	return h
+}
+
+// singleOpts applies the documented 30s io-timeout default to a bare
+// connection, exactly as pools do, unless WithPoolIOTimeout(d ≤ 0)
+// disabled it.
+func (cfg connectConfig) singleOpts() []offload.ClientOption {
+	switch iot := cfg.pool.IOTimeout; {
+	case iot == 0:
+		return []offload.ClientOption{offload.WithIOTimeout(cluster.DefaultIOTimeout)}
+	case iot > 0:
+		return []offload.ClientOption{offload.WithIOTimeout(iot)}
+	}
+	return nil
 }
 
 // Connect is the one constructor for every serving topology: it dials the
 // target, performs (and validates) the protocol handshake, auto-configures
 // the obfuscating edge from the server's advertised encoder setup unless
-// WithEdge provides one, and returns the Client matching the target's
-// topology. The context bounds dialing and handshaking.
-//
-// It subsumes the older constructors — Dial, DialModel, NewRemote,
-// NewRemoteModel, DialPool and DialCluster remain as deprecated wrappers
-// around the same machinery.
+// WithEdge provides one, and returns the Client for the target's topology.
+// Version or geometry mismatches and unknown models surface as typed
+// errors (ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel). The
+// context bounds dialing and handshaking.
 func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, error) {
 	if len(t.Addrs) == 0 {
 		return nil, errors.New("privehd: Connect: no addresses in target")
@@ -224,37 +489,113 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 	if t.Network == "" {
 		t.Network = "tcp"
 	}
-	var cfg connectConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.pool.model = t.Model
+	cfg := newConnectConfig(opts)
 	if t.Hedge && cfg.hedge == nil {
 		cfg.hedge = &cluster.HedgePolicy{}
 	}
 	topo := t.Topology
 	if topo == TopologyAuto {
-		if len(t.Addrs) == 1 {
-			topo = TopologyPool
-		} else {
+		topo = TopologyPool
+		if len(t.Addrs) > 1 {
 			var err error
-			topo, err = sniffTopology(ctx, t)
-			if err != nil {
+			if topo, err = sniffTopology(ctx, t); err != nil {
 				return nil, err
 			}
 		}
 	}
 	switch topo {
 	case TopologySingle:
-		return connectSingle(ctx, t, cfg)
+		oc, err := offload.Dial(ctx, t.Network, t.Addrs[0], cfg.hello(t.Model), cfg.singleOpts()...)
+		if err != nil {
+			return nil, err
+		}
+		return newClient(topo, oc, oc.ServerHello(), cfg)
 	case TopologyPool:
-		return connectPool(ctx, t, cfg)
+		pcfg := cfg.pool
+		pcfg.Network, pcfg.Addr, pcfg.Hello = t.Network, t.Addrs[0], cfg.hello(t.Model)
+		p := cluster.NewPool(pcfg)
+		sh, err := p.Hello(ctx)
+		if err != nil {
+			p.Close()
+			return nil, err
+		}
+		return newClient(topo, p, sh, cfg)
 	case TopologyCluster:
-		return connectCluster(ctx, t, cfg)
+		cl, err := cluster.NewCluster(cluster.ClusterConfig{
+			Network:       t.Network,
+			Addrs:         t.Addrs,
+			Hello:         cfg.hello(t.Model),
+			Pool:          cfg.pool,
+			Policy:        cfg.policy,
+			ProbeInterval: cfg.probe,
+			Hedge:         cfg.hedge,
+			Logger:        cfg.logger,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("privehd: %w", err)
+		}
+		sh, err := cl.Hello(ctx)
+		if err != nil {
+			cl.Close()
+			return nil, err
+		}
+		return newClient(topo, cl, sh, cfg)
 	case TopologySharded:
-		return connectSharded(ctx, t, cfg)
+		co, err := shard.New(ctx, shard.Config{
+			Network:       t.Network,
+			Addrs:         t.Addrs,
+			Model:         t.Model,
+			Pool:          cfg.pool,
+			Policy:        cfg.policy,
+			ProbeInterval: cfg.probe,
+			Hedge:         cfg.hedge,
+			Logger:        cfg.logger,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return newClient(topo, shardTransport{co}, co.Hello(), cfg)
 	}
 	return nil, fmt.Errorf("privehd: Connect: unknown topology %d", int(t.Topology))
+}
+
+// ConnectConn performs the handshake over an existing connection — the
+// escape hatch for connections Connect cannot dial itself: tapped
+// connections (Tap) and in-memory pipes. It binds to model (empty for the
+// server's default) and returns the same client Connect builds for
+// TopologySingle, with the same defaults and options.
+func ConnectConn(conn net.Conn, model string, opts ...ConnectOption) (Client, error) {
+	cfg := newConnectConfig(opts)
+	oc, err := offload.NewClient(conn, cfg.hello(model), cfg.singleOpts()...)
+	if err != nil {
+		return nil, err
+	}
+	return newClient(TopologySingle, oc, oc.ServerHello(), cfg)
+}
+
+// newClient pairs a handshaken transport with its edge — the supplied one
+// or one auto-configured from the handshake — and closes the transport if
+// the pairing is impossible.
+func newClient(topo Topology, tr transport, sh offload.ServerHello, cfg connectConfig) (*client, error) {
+	edge := cfg.edge
+	var err error
+	if edge == nil {
+		edge, err = edgeFromServerHello(sh, cfg.edgeOpts...)
+	}
+	if err == nil && topo == TopologySharded {
+		switch {
+		case edge.Dim() != sh.Dim:
+			err = fmt.Errorf("%w: edge dim %d, sharded model dim %d", ErrGeometryMismatch, edge.Dim(), sh.Dim)
+		case edge.cfg.rawQueries:
+			err = fmt.Errorf("%w: WithRawQueries edges send full-precision vectors, which cannot be partial-scored across shards",
+				ErrPartialUnsupported)
+		}
+	}
+	if err != nil {
+		tr.Close()
+		return nil, err
+	}
+	return &client{topo: topo, edge: edge, hello: sh, tr: tr}, nil
 }
 
 // sniffTopology decides between cluster and sharded for a multi-address
@@ -280,136 +621,4 @@ func sniffTopology(ctx context.Context, t Target) (Topology, error) {
 		return TopologyCluster, nil
 	}
 	return 0, fmt.Errorf("privehd: Connect: no address reachable: %w", lastErr)
-}
-
-// connectSingle is TopologySingle: one pipelined connection plus its edge.
-// Connect applies the documented pool default of a 30s IO timeout here
-// too — a bare Dial defaults to none, but every Connect topology bounds
-// reply progress uniformly unless WithPoolIOTimeout(d ≤ 0) disables it.
-func connectSingle(ctx context.Context, t Target, cfg connectConfig) (*Remote, error) {
-	iot := cfg.pool.ioTimeout
-	if iot == 0 {
-		iot = cluster.DefaultIOTimeout
-	}
-	var dopts []DialOption
-	if t.Model != "" {
-		dopts = append(dopts, ForModel(t.Model))
-	}
-	if iot > 0 {
-		dopts = append(dopts, WithIOTimeout(iot))
-	}
-	if cfg.edge != nil {
-		return Dial(ctx, t.Network, t.Addrs[0], cfg.edge, dopts...)
-	}
-	var copts []offload.ClientOption
-	if iot > 0 {
-		copts = append(copts, offload.WithIOTimeout(iot))
-	}
-	client, err := offload.Dial(ctx, t.Network, t.Addrs[0], offload.Hello{Model: t.Model}, copts...)
-	if err != nil {
-		return nil, err
-	}
-	edge, err := edgeFromServerHello(client.ServerHello(), cfg.pool.edgeOpts...)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return &Remote{edge: edge, client: client}, nil
-}
-
-// connectPool is TopologyPool: a bounded connection pool plus its edge.
-func connectPool(ctx context.Context, t Target, cfg connectConfig) (*Pool, error) {
-	pcfg := cfg.pool.toInternal()
-	pcfg.Network = t.Network
-	pcfg.Addr = t.Addrs[0]
-	pcfg.Hello = offload.Hello{Model: t.Model}
-	if cfg.edge != nil {
-		pcfg.Hello.Dim = cfg.edge.Dim()
-	}
-	pool := cluster.NewPool(pcfg)
-	hello, err := pool.Hello(ctx)
-	if err != nil {
-		pool.Close()
-		return nil, err
-	}
-	edge := cfg.edge
-	if edge == nil {
-		edge, err = edgeFromServerHello(hello, cfg.pool.edgeOpts...)
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-	}
-	return &Pool{edge: edge, pool: pool}, nil
-}
-
-// connectCluster is TopologyCluster: whole-model replicas with failover.
-func connectCluster(ctx context.Context, t Target, cfg connectConfig) (*Cluster, error) {
-	hello := offload.Hello{Model: t.Model}
-	if cfg.edge != nil {
-		hello.Dim = cfg.edge.Dim()
-	}
-	cl, err := cluster.NewCluster(cluster.ClusterConfig{
-		Network:       t.Network,
-		Addrs:         t.Addrs,
-		Hello:         hello,
-		Pool:          cfg.pool.toInternal(),
-		Policy:        cfg.policy,
-		ProbeInterval: cfg.probe,
-		Hedge:         cfg.hedge,
-		Logger:        cfg.logger,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("privehd: %w", err)
-	}
-	sh, err := cl.Hello(ctx)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	edge := cfg.edge
-	if edge == nil {
-		edge, err = edgeFromServerHello(sh, cfg.pool.edgeOpts...)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-	}
-	return &Cluster{edge: edge, cl: cl}, nil
-}
-
-// connectSharded is TopologySharded: the addresses serve slices of one
-// logical model; predictions scatter–gather across them.
-func connectSharded(ctx context.Context, t Target, cfg connectConfig) (*Sharded, error) {
-	co, err := shard.New(ctx, shard.Config{
-		Network:       t.Network,
-		Addrs:         t.Addrs,
-		Model:         t.Model,
-		Pool:          cfg.pool.toInternal(),
-		Policy:        cfg.policy,
-		ProbeInterval: cfg.probe,
-		Hedge:         cfg.hedge,
-		Logger:        cfg.logger,
-	})
-	if err != nil {
-		return nil, err
-	}
-	edge := cfg.edge
-	if edge == nil {
-		edge, err = edgeFromServerHello(co.Hello(), cfg.pool.edgeOpts...)
-		if err != nil {
-			co.Close()
-			return nil, err
-		}
-	}
-	if edge.Dim() != co.Dim() {
-		co.Close()
-		return nil, fmt.Errorf("%w: edge dim %d, sharded model dim %d", ErrGeometryMismatch, edge.Dim(), co.Dim())
-	}
-	if edge.cfg.rawQueries {
-		co.Close()
-		return nil, fmt.Errorf("%w: WithRawQueries edges send full-precision vectors, which cannot be partial-scored across shards",
-			ErrPartialUnsupported)
-	}
-	return &Sharded{edge: edge, co: co}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"privehd/internal/cluster"
+	"privehd/internal/offload"
 )
 
 func trainToy(t *testing.T) *Pipeline {
@@ -64,18 +65,31 @@ func TestConnectSingleIOTimeoutDefault(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := Connect(context.Background(),
+			dialed, err := Connect(context.Background(),
 				Target{Addrs: []string{addr}, Topology: TopologySingle}, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			r, ok := c.(*Remote)
-			if !ok {
-				t.Fatalf("TopologySingle returned %T, want *Remote", c)
+			defer dialed.Close()
+			// ConnectConn is the same single-connection client over a
+			// caller's conn, with the same defaults.
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := r.client.IOTimeout(); got != tc.want {
-				t.Fatalf("wire IOTimeout = %v, want %v", got, tc.want)
+			handed, err := ConnectConn(conn, "", tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer handed.Close()
+			for _, c := range []Client{dialed, handed} {
+				oc, ok := c.(*client).tr.(*offload.Client)
+				if !ok {
+					t.Fatalf("TopologySingle sends through %T, want one *offload.Client", c.(*client).tr)
+				}
+				if got := oc.IOTimeout(); got != tc.want {
+					t.Fatalf("wire IOTimeout = %v, want %v", got, tc.want)
+				}
 			}
 		})
 	}

@@ -109,15 +109,18 @@ func main() {
 		log.Fatal(err)
 	}
 	tapped, tap := privehd.Tap(raw)
-	//lint:ignore SA1019 the tap wraps a pre-established conn, which Connect (a dialer) cannot; NewRemoteModel stays the escape hatch for exactly this
-	remote, err := privehd.NewRemoteModel(tapped, "mnist", privehd.WithQueryMask(dim/6))
+	// The tap wraps a pre-established conn, which Connect (a dialer)
+	// cannot; ConnectConn is the escape hatch for exactly this.
+	remote, err := privehd.ConnectConn(tapped, "mnist",
+		privehd.WithEdgeOptions(privehd.WithQueryMask(dim/6)))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer remote.Close()
 	edge := remote.Edge()
+	st := remote.Status()
 	fmt.Printf("edge: auto-configured from the handshake (model %q v%d, D=%d, %d features)\n",
-		remote.Model(), remote.ModelVersion(), edge.Dim(), edge.Features())
+		st.Model, st.ModelVersion, edge.Dim(), edge.Features())
 
 	n := 20
 	if n > len(data.TestX) {
@@ -214,11 +217,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cc.Close()
-	clusterClient := cc.(*privehd.Cluster)
 	fmt.Printf("\ncloud: scaled out to %d replicas; cluster client auto-configured its edge\n", len(addrs))
 
 	// Model discovery over the wire (protocol v4): no out-of-band config.
-	listed, err := clusterClient.ListModels()
+	listed, err := cc.ListModels()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perCaller; i++ {
-				label, _, err := clusterClient.Predict(data.TestX[i])
+				label, _, err := cc.Predict(data.TestX[i])
 				if err != nil {
 					failed32.Add(1)
 				} else if label == data.TestY[i] {
@@ -263,7 +265,7 @@ func main() {
 	wg.Wait()
 	fmt.Printf("cluster: %d callers × %d queries with a replica killed mid-run: %d correct, %d failed\n",
 		callers, perCaller, ok32.Load(), failed32.Load())
-	for _, st := range clusterClient.Replicas() {
+	for _, st := range cc.Status().Replicas {
 		state := "healthy"
 		if !st.Healthy {
 			state = "ejected"
@@ -321,9 +323,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer shardClient.Close()
-	sharded := shardClient.(*privehd.Sharded)
 	fmt.Printf("\ncloud: \"mnist-q\" split across %d shard replicas:\n", len(shardAddrs))
-	for _, s := range sharded.Shards() {
+	for _, s := range shardClient.Status().Shards {
 		fmt.Printf("  %s\n", s.String())
 	}
 
@@ -333,7 +334,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sLabel, sScores, err := sharded.Predict(data.TestX[i])
+		sLabel, sScores, err := shardClient.Predict(data.TestX[i])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func main() {
 	// from the store. Every publication above was durable, so the new
 	// registry comes back with the same models, active versions ("mnist"
 	// at v2 — the hot swap survived) and default, without retraining.
-	clusterClient.Close()
+	cc.Close()
 	remote.Close()
 	cancel()
 	time.Sleep(50 * time.Millisecond) // let the old listeners die
@@ -407,8 +408,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c2.Close()
-	remote2 := c2.(*privehd.Remote)
-	fmt.Printf("edge: reconnected to recovered \"mnist\" v%d\n", remote2.ModelVersion())
+	fmt.Printf("edge: reconnected to recovered \"mnist\" v%d\n", c2.Status().ModelVersion)
 
 	trafficDone := make(chan int)
 	stopTraffic := make(chan struct{})
@@ -421,7 +421,7 @@ func main() {
 				return
 			default:
 			}
-			if _, _, err := remote2.Predict(data.TestX[i%n]); err != nil {
+			if _, _, err := c2.Predict(data.TestX[i%n]); err != nil {
 				log.Fatal("query dropped during rollback: ", err)
 			}
 			answered++

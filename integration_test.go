@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"bytes"
 	"context"
@@ -99,7 +97,7 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tapped, tap := privehd.Tap(raw)
-	remote, err := privehd.NewRemote(tapped, edge)
+	remote, err := privehd.ConnectConn(tapped, "", privehd.WithEdge(edge))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,6 @@ type Pool struct {
 	lastDialErr error
 	hello       offload.ServerHello
 	haveHello   bool
-	dials       int
 	changed     chan struct{} // closed+replaced when a dial lands or fails
 
 	stopReaper chan struct{}
@@ -373,7 +372,6 @@ func (p *Pool) dial(ctx context.Context) (*poolConn, error) {
 	p.backoff = 0
 	p.nextDial = time.Time{}
 	p.lastDialErr = nil
-	p.dials++
 	if !p.haveHello {
 		p.hello = c.ServerHello()
 		p.haveHello = true
@@ -496,7 +494,7 @@ func (p *Pool) Classify(ctx context.Context, prepared []float64) (int, []float64
 	var scores []float64
 	err := p.do(ctx, func(c *offload.Client) error {
 		var err error
-		label, scores, err = c.ClassifyContext(ctx, prepared)
+		label, scores, err = c.Classify(ctx, prepared)
 		return err
 	})
 	return label, scores, err
@@ -508,7 +506,7 @@ func (p *Pool) ClassifyBatchScores(ctx context.Context, prepared [][]float64) ([
 	var results []offload.Result
 	err := p.do(ctx, func(c *offload.Client) error {
 		var err error
-		results, err = c.ClassifyBatchScoresContext(ctx, prepared)
+		results, err = c.ClassifyBatchScores(ctx, prepared)
 		return err
 	})
 	if err != nil {
@@ -531,7 +529,7 @@ func (p *Pool) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
 	var models []offload.ModelListing
 	err := p.do(ctx, func(c *offload.Client) error {
 		var err error
-		models, err = c.ListModels()
+		models, err = c.ListModels(ctx)
 		return err
 	})
 	if err != nil {
@@ -540,23 +538,12 @@ func (p *Pool) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
 	return models, nil
 }
 
-// PoolStats is a snapshot of a pool's connection state.
-type PoolStats struct {
-	// Conns is the number of live pooled connections.
-	Conns int
-	// InFlight is the number of operations currently using a connection.
-	InFlight int
-	// Dials counts successful connection establishments over the pool's
-	// lifetime — more than Conns means redials replaced broken or reaped
-	// connections.
-	Dials int
-}
-
-// Stats returns a snapshot of the pool's state.
-func (p *Pool) Stats() PoolStats {
+// Status snapshots the pool as one replica: its address, whether its most
+// recent dial succeeded, and its connection and in-flight counts.
+func (p *Pool) Status() ReplicaStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := PoolStats{Conns: len(p.conns), Dials: p.dials}
+	st := ReplicaStatus{Addr: p.cfg.Addr, Healthy: p.lastDialErr == nil, Conns: len(p.conns)}
 	for _, pc := range p.conns {
 		st.InFlight += pc.inflight
 	}
@@ -1208,13 +1195,8 @@ type ReplicaStatus struct {
 func (cl *Cluster) Replicas() []ReplicaStatus {
 	out := make([]ReplicaStatus, len(cl.replicas))
 	for i, r := range cl.replicas {
-		st := r.pool.Stats()
-		out[i] = ReplicaStatus{
-			Addr:     r.addr,
-			Healthy:  r.isHealthy(),
-			Conns:    st.Conns,
-			InFlight: st.InFlight,
-		}
+		out[i] = r.pool.Status()
+		out[i].Healthy = r.isHealthy()
 	}
 	return out
 }

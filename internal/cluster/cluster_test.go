@@ -146,7 +146,7 @@ func TestPoolServesConcurrentCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
+	st := p.Status()
 	if st.Conns < 1 || st.Conns > 3 {
 		t.Errorf("pool kept %d conns, want 1..3", st.Conns)
 	}
@@ -163,6 +163,7 @@ func TestPoolRedialsAfterConnLossWithBackoff(t *testing.T) {
 		MaxBackoff: 200 * time.Millisecond,
 	})
 	defer p.Close()
+	dialsBefore := cmPoolDials.With(rep.addr).Value()
 
 	if _, _, err := p.Classify(context.Background(), classQuery(dim, 0)); err != nil {
 		t.Fatal(err)
@@ -203,8 +204,8 @@ func TestPoolRedialsAfterConnLossWithBackoff(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if st := p.Stats(); st.Dials < 2 {
-		t.Errorf("Dials = %d, want ≥ 2 (a redial after the loss)", st.Dials)
+	if dials := cmPoolDials.With(rep.addr).Value() - dialsBefore; dials < 2 {
+		t.Errorf("dials = %d, want ≥ 2 (a redial after the loss)", dials)
 	}
 }
 
@@ -219,13 +220,13 @@ func TestPoolReapsIdleConns(t *testing.T) {
 	if _, _, err := p.Classify(context.Background(), classQuery(dim, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Conns == 0 {
+	if st := p.Status(); st.Conns == 0 {
 		t.Fatal("no conn after a classify")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Conns != 0 {
+	for p.Status().Conns != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("idle conns never reaped: %+v", p.Stats())
+			t.Fatalf("idle conns never reaped: %+v", p.Status())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -288,12 +288,12 @@ func TestPoolPingDropsDeadConn(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if cmPoolPings.With(hung, "failed").Value() > failedBefore && p.Stats().Conns == 0 {
+		if cmPoolPings.With(hung, "failed").Value() > failedBefore && p.Status().Conns == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("ping never dropped the dead conn: pings{failed} %d→%d, conns %d",
-				failedBefore, cmPoolPings.With(hung, "failed").Value(), p.Stats().Conns)
+				failedBefore, cmPoolPings.With(hung, "failed").Value(), p.Status().Conns)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -322,7 +322,7 @@ func TestPoolPingKeepsLiveConn(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := p.Stats().Conns; got != 1 {
+	if got := p.Status().Conns; got != 1 {
 		t.Fatalf("a passing ping must keep the conn pooled, Conns = %d", got)
 	}
 }

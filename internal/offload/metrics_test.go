@@ -72,12 +72,12 @@ func TestServerMetricsCounters(t *testing.T) {
 
 	const frames = 3
 	for i := 0; i < frames; i++ {
-		if _, _, err := c.Classify([]float64{2, 1, 0, 0}); err != nil {
+		if _, _, err := c.Classify(context.Background(), []float64{2, 1, 0, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	batch := [][]float64{{2, 1, 0, 0}, {0, 0, 1, 2}}
-	if _, err := c.ClassifyBatch(batch); err != nil {
+	if _, err := c.ClassifyBatch(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()

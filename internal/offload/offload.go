@@ -87,6 +87,7 @@
 package offload
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -948,26 +949,51 @@ func (s *Server) forget(sc *srvConn) {
 
 // rejectOverloaded answers a connection that arrived past the configured
 // connection limit: it completes just enough of the handshake to carry a
-// typed overload code back — reading the 4-byte header, then sending a
-// refusing ServerHello — and closes. The whole exchange is bounded by a
-// short deadline so a slow or silent peer cannot pin resources; that is
-// the point of the limit.
+// typed overload code back — reading the 4-byte header, then refusing —
+// and closes. The whole exchange is bounded by a short deadline so a slow
+// or silent peer cannot pin resources; that is the point of the limit.
 func (s *Server) rejectOverloaded(conn net.Conn) {
 	defer conn.Close()
-	mRejections.With(codeOverloaded).Inc()
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	conn.SetDeadline(time.Now().Add(refuseLinger))
 	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	_, err := io.ReadFull(conn, hdr[:])
+	if err != nil || hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
+		mRejections.With(codeOverloaded).Inc()
 		return
 	}
-	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
-		return
-	}
-	gob.NewEncoder(conn).Encode(ServerHello{
+	refuse(conn, nil, ServerHello{
 		Code:    codeOverloaded,
 		Detail:  fmt.Sprintf("connection limit %d reached, retry later", s.maxConns),
 		Version: ProtocolVersion,
 	})
+}
+
+// refuseLinger bounds how long a refused handshake waits for the peer to
+// read the refusal and hang up.
+const refuseLinger = 2 * time.Second
+
+// refuse answers a handshake with a typed rejection and counts it. It must
+// not end in a TCP reset: closing a socket that still holds unread input —
+// the client's Hello, which arrives with the header — makes the kernel
+// answer with RST, which can destroy the refusal before the client reads
+// it or fail the client's handshake write with EPIPE, turning a typed
+// refusal into a plain transport error. So the refusal is followed by a
+// half-close (FIN) and the peer's remaining bytes are drained until it
+// hangs up or refuseLinger passes; the caller's Close then finds nothing
+// left to reset. enc may be nil when the handshake has no encoder yet.
+func refuse(conn net.Conn, enc *gob.Encoder, reply ServerHello) {
+	mRejections.With(reply.Code).Inc()
+	conn.SetDeadline(time.Now().Add(refuseLinger))
+	if enc == nil {
+		enc = gob.NewEncoder(conn)
+	}
+	if err := enc.Encode(reply); err != nil {
+		return
+	}
+	if cw, ok := conn.(closeWriter); ok {
+		cw.CloseWrite()
+	}
+	io.Copy(io.Discard, conn)
 }
 
 // Close stops the listener and closes every connection immediately,
@@ -1031,13 +1057,11 @@ func (s *Server) handle(sc *srvConn) {
 	}
 	enc := gob.NewEncoder(conn)
 	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
-		mRejections.With(codeBadMagic).Inc()
-		enc.Encode(ServerHello{Code: codeBadMagic, Version: ProtocolVersion})
+		refuse(conn, enc, ServerHello{Code: codeBadMagic, Version: ProtocolVersion})
 		return
 	}
 	if hdr[3] != ProtocolVersion && hdr[3] != versionV4 && hdr[3] != versionV3 && hdr[3] != versionV2 {
-		mRejections.With(codeVersion).Inc()
-		enc.Encode(ServerHello{
+		refuse(conn, enc, ServerHello{
 			Code:    codeVersion,
 			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV2, versionV4, hdr[3]),
 			Version: ProtocolVersion,
@@ -1059,8 +1083,7 @@ func (s *Server) handle(sc *srvConn) {
 	// without reconnecting.
 	entry, err := s.reg.Lookup(hello.Model)
 	if err != nil {
-		mRejections.With(codeUnknownModel).Inc()
-		enc.Encode(ServerHello{
+		refuse(conn, enc, ServerHello{
 			Code:    codeUnknownModel,
 			Detail:  err.Error(),
 			Version: sc.version,
@@ -1074,8 +1097,7 @@ func (s *Server) handle(sc *srvConn) {
 	// from them stays a mismatch.
 	dimOK := hello.Dim == model.Dim() || (sc.version >= 3 && hello.Dim == 0)
 	if !dimOK || (hello.Classes != 0 && hello.Classes != model.NumClasses()) {
-		mRejections.With(codeGeometry).Inc()
-		enc.Encode(ServerHello{
+		refuse(conn, enc, ServerHello{
 			Code: codeGeometry,
 			Detail: fmt.Sprintf("model %q is %d-dimensional with %d classes, client advertised dim %d classes %d",
 				entry.Name, model.Dim(), model.NumClasses(), hello.Dim, hello.Classes),
@@ -1568,14 +1590,24 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 	for _, o := range opts {
 		o(c)
 	}
-	hdr := [4]byte{magic[0], magic[1], magic[2], ProtocolVersion}
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, err)
+	// The header and the Hello leave in one write, so a server refusing
+	// on the header alone finds the whole handshake already received
+	// instead of a second segment racing its close. The Hello goes
+	// through its own encoder: the data-plane encoder never sends the
+	// Hello type, so the server decodes both as one gob stream.
+	var buf bytes.Buffer
+	buf.Write([]byte{magic[0], magic[1], magic[2], ProtocolVersion})
+	if err := gob.NewEncoder(&buf).Encode(hello); err != nil {
+		return nil, fmt.Errorf("offload: handshake: %w", err)
 	}
-	if err := c.enc.Encode(hello); err != nil {
-		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, err)
-	}
+	_, werr := conn.Write(buf.Bytes())
+	// Read the answer even when the write failed: a server refusing the
+	// handshake (overload, bad magic, version) may have closed before
+	// taking all our bytes, and its typed refusal must win over EPIPE.
 	if err := c.dec.Decode(&c.hello); err != nil {
+		if werr != nil {
+			err = werr
+		}
 		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, err)
 	}
 	if c.hello.Code != "" {
@@ -1584,6 +1616,9 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 	if c.hello.Version != ProtocolVersion {
 		return nil, fmt.Errorf("%w: server speaks v%d, client v%d",
 			ErrVersionMismatch, c.hello.Version, ProtocolVersion)
+	}
+	if werr != nil {
+		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, werr)
 	}
 	c.sendCh = make(chan *pending, 16)
 	c.broken = make(chan struct{})
@@ -1599,9 +1634,6 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 // this) — and fails fast with the typed verdict when the budget is
 // already spent, so a dead request never costs a frame.
 func stampBudget(ctx context.Context, req *Request) error {
-	if ctx == nil {
-		return nil
-	}
 	d, ok := ctx.Deadline()
 	if !ok {
 		return nil
@@ -1614,21 +1646,17 @@ func stampBudget(ctx context.Context, req *Request) error {
 	return nil
 }
 
-// submitCtx is submit with the caller's context stamped onto the frame as
-// a deadline budget (no-op for contexts without a deadline).
-func (c *Client) submitCtx(ctx context.Context, req Request) (*pending, error) {
+// submit stamps the caller's deadline budget onto the request (no-op for
+// contexts without a deadline), assigns it an ID, registers it in the
+// in-flight table and hands it to the send goroutine. The caller waits on
+// the returned pending.
+func (c *Client) submit(ctx context.Context, req Request) (*pending, error) {
 	if err := stampBudget(ctx, &req); err != nil {
 		return nil, err
 	}
-	return c.submit(req)
-}
-
-// submit assigns the request an ID, registers it in the in-flight table and
-// hands it to the send goroutine. The caller waits on the returned pending.
-func (c *Client) submit(req Request) (*pending, error) {
 	p := &pending{req: req, done: make(chan struct{})}
 	// The sampling decision for the whole request path lives here, so
-	// Remote, Pool and Cluster all trace without any API of their own; the
+	// every client topology traces without any API of its own; the
 	// ID crosses the wire on the frame. Unsampled requests pay one atomic
 	// load and zero allocations beyond the pending itself.
 	if id := trace.Sampled(); id != 0 {
@@ -1660,39 +1688,30 @@ func (c *Client) submit(req Request) (*pending, error) {
 	}
 }
 
-// wait blocks until the pending's reply is routed or the connection fails.
-func (p *pending) wait() (Reply, error) {
-	<-p.done
+// wait blocks until the pending's reply is routed or the connection fails,
+// bounded by the caller's context: an expired deadline returns the typed
+// ErrDeadlineExceeded (the server sheds the frame on its side from the
+// stamped budget), a plain cancellation — a hedged attempt losing the race
+// — wraps ErrTransport so retry layers treat it like any abandoned
+// connection-level outcome. The reply, if it still arrives, is routed and
+// dropped harmlessly; the connection stays healthy.
+func (p *pending) wait(ctx context.Context) (Reply, error) {
+	select {
+	case <-p.done:
+	case <-ctx.Done():
+		select {
+		case <-p.done: // the reply won a tie with the context
+		default:
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				return Reply{}, fmt.Errorf("%w: %v waiting for reply %d", ErrDeadlineExceeded, ctx.Err(), p.req.ID)
+			}
+			return Reply{}, fmt.Errorf("%w: abandoned waiting for reply %d: %v", ErrTransport, p.req.ID, ctx.Err())
+		}
+	}
 	if p.err != nil {
 		return Reply{}, p.err
 	}
 	return p.reply, nil
-}
-
-// waitCtx is wait bounded by the caller's context: an expired deadline
-// returns the typed ErrDeadlineExceeded (the server sheds the frame on its
-// side from the stamped budget), a plain cancellation — a hedged attempt
-// losing the race — wraps ErrTransport so retry layers treat it like any
-// abandoned connection-level outcome. The reply, if it still arrives, is
-// routed and dropped harmlessly; the connection stays healthy.
-func (p *pending) waitCtx(ctx context.Context) (Reply, error) {
-	if ctx == nil {
-		return p.wait()
-	}
-	select {
-	case <-p.done:
-		return p.wait()
-	default:
-	}
-	select {
-	case <-p.done:
-		return p.wait()
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return Reply{}, fmt.Errorf("%w: %v waiting for reply %d", ErrDeadlineExceeded, ctx.Err(), p.req.ID)
-		}
-		return Reply{}, fmt.Errorf("%w: abandoned waiting for reply %d: %v", ErrTransport, p.req.ID, ctx.Err())
-	}
 }
 
 // sendLoop is the dedicated writer: it serializes every outgoing frame
@@ -1904,6 +1923,9 @@ func (c *Client) Err() error { return c.stickyErr() }
 // owed.
 func (c *Client) Draining() bool { return c.draining.Load() }
 
+// Peer returns the server's address.
+func (c *Client) Peer() string { return c.peer }
+
 // Shard returns the served entry's shard descriptor from the handshake,
 // nil when the server holds the whole model.
 func (c *Client) Shard() *registry.ShardInfo { return c.hello.Shard }
@@ -1930,18 +1952,13 @@ func (c *Client) ServerHello() ServerHello { return c.hello }
 
 // Classify sends one prepared (already obfuscated) query and returns the
 // predicted label and scores. Quantized queries automatically take the
-// compact one-byte-per-dimension wire form.
-func (c *Client) Classify(prepared []float64) (int, []float64, error) {
-	return c.ClassifyContext(nil, prepared)
-}
-
-// ClassifyContext is Classify bounded by ctx: its remaining deadline is
-// stamped onto the frame as the request budget (BudgetNs) so the server
+// compact one-byte-per-dimension wire form. The remaining deadline of ctx
+// is stamped onto the frame as the request budget (BudgetNs) so the server
 // can shed it once expired, and the wait aborts with the typed
 // ErrDeadlineExceeded (deadline) or an ErrTransport-wrapped error (plain
-// cancellation, e.g. a hedged attempt losing its race). A nil or
-// deadline-free ctx behaves exactly like Classify.
-func (c *Client) ClassifyContext(ctx context.Context, prepared []float64) (int, []float64, error) {
+// cancellation, e.g. a hedged attempt losing its race). A deadline-free
+// ctx stamps nothing and waits for the reply.
+func (c *Client) Classify(ctx context.Context, prepared []float64) (int, []float64, error) {
 	results, err := c.roundTrip(ctx, [][]float64{prepared})
 	if err != nil {
 		return 0, nil, err
@@ -1962,8 +1979,8 @@ func Labels(results []Result) []int {
 // MaxBatch vectors per round trip, and returns the predicted labels in
 // order. It stops at the first failure, returning the labels answered so
 // far.
-func (c *Client) ClassifyBatch(prepared [][]float64) ([]int, error) {
-	results, err := c.ClassifyBatchScores(prepared)
+func (c *Client) ClassifyBatch(ctx context.Context, prepared [][]float64) ([]int, error) {
+	results, err := c.ClassifyBatchScores(ctx, prepared)
 	return Labels(results), err
 }
 
@@ -1971,15 +1988,9 @@ func (c *Client) ClassifyBatch(prepared [][]float64) ([]int, error) {
 // are pipelined onto the connection at once — the server may answer them
 // out of order, and results are reassembled in query order — so a large
 // batch costs one round trip plus server time, not one round trip per
-// MaxBatch chunk.
-func (c *Client) ClassifyBatchScores(prepared [][]float64) ([]Result, error) {
-	return c.ClassifyBatchScoresContext(nil, prepared)
-}
-
-// ClassifyBatchScoresContext is ClassifyBatchScores bounded by ctx: every
-// chunk frame carries the remaining budget, and waits abort on expiry with
-// the typed ErrDeadlineExceeded.
-func (c *Client) ClassifyBatchScoresContext(ctx context.Context, prepared [][]float64) ([]Result, error) {
+// MaxBatch chunk. Every chunk frame carries the remaining budget of ctx,
+// and waits abort on expiry with the typed ErrDeadlineExceeded.
+func (c *Client) ClassifyBatchScores(ctx context.Context, prepared [][]float64) ([]Result, error) {
 	chunk := c.hello.MaxBatch
 	if chunk <= 0 {
 		chunk = DefaultMaxBatch
@@ -1995,7 +2006,7 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, prepared [][]fl
 		if end > len(prepared) {
 			end = len(prepared)
 		}
-		p, err := c.submitCtx(ctx, classifyRequest(prepared[start:end]))
+		p, err := c.submit(ctx, classifyRequest(prepared[start:end]))
 		if err != nil {
 			submitErr = fmt.Errorf("offload: batch at query %d: %w", start, err)
 			break
@@ -2004,7 +2015,7 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, prepared [][]fl
 	}
 	out := make([]Result, 0, len(prepared))
 	for _, cp := range pendings {
-		reply, err := cp.p.waitCtx(ctx)
+		reply, err := cp.p.wait(ctx)
 		if err == nil {
 			err = replyError(reply, cp.p.req)
 		}
@@ -2019,12 +2030,12 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, prepared [][]fl
 // ListModels asks the server for its current registry listing — every
 // served model's name, version, geometry and public encoder setup — so a
 // client can discover models without out-of-band configuration (v4).
-func (c *Client) ListModels() ([]ModelListing, error) {
-	p, err := c.submit(Request{Op: OpListModels})
+func (c *Client) ListModels(ctx context.Context) ([]ModelListing, error) {
+	p, err := c.submit(ctx, Request{Op: OpListModels})
 	if err != nil {
 		return nil, err
 	}
-	reply, err := p.wait()
+	reply, err := p.wait(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -2039,23 +2050,19 @@ func (c *Client) ListModels() ([]ModelListing, error) {
 // the per-class Σv² (v5, OpPartialScores). The queries must already be
 // sliced to the server's dimension range. Partial-incapable models are
 // refused with ErrPartialUnsupported; transport failures wrap ErrTransport
-// and may be retried on another replica of the same shard.
-func (c *Client) PartialScores(packed [][]int8) ([][]int64, []float64, error) {
-	return c.PartialScoresContext(nil, packed)
-}
-
-// PartialScoresContext is PartialScores bounded by ctx: the frame carries
-// the remaining budget and the wait aborts on expiry or cancellation.
-func (c *Client) PartialScoresContext(ctx context.Context, packed [][]int8) ([][]int64, []float64, error) {
+// and may be retried on another replica of the same shard. The frame
+// carries the remaining budget of ctx and the wait aborts on expiry or
+// cancellation.
+func (c *Client) PartialScores(ctx context.Context, packed [][]int8) ([][]int64, []float64, error) {
 	req := Request{Op: OpPartialScores, Queries: make([]Query, len(packed))}
 	for i, q := range packed {
 		req.Queries[i] = Query{Packed: q}
 	}
-	p, err := c.submitCtx(ctx, req)
+	p, err := c.submit(ctx, req)
 	if err != nil {
 		return nil, nil, err
 	}
-	reply, err := p.waitCtx(ctx)
+	reply, err := p.wait(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -2097,11 +2104,11 @@ func replyError(reply Reply, req Request) error {
 
 // roundTrip pipelines one Request frame and waits for its Reply.
 func (c *Client) roundTrip(ctx context.Context, prepared [][]float64) ([]Result, error) {
-	p, err := c.submitCtx(ctx, classifyRequest(prepared))
+	p, err := c.submit(ctx, classifyRequest(prepared))
 	if err != nil {
 		return nil, err
 	}
-	reply, err := p.waitCtx(ctx)
+	reply, err := p.wait(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -2118,11 +2125,11 @@ func (c *Client) roundTrip(ctx context.Context, prepared [][]float64) ([]Result,
 // (ErrUnsupportedOp) — it decoded the frame and answered, which proves
 // liveness just as well, so that rejection also counts as success.
 func (c *Client) Ping(ctx context.Context) error {
-	p, err := c.submitCtx(ctx, Request{Op: OpPing})
+	p, err := c.submit(ctx, Request{Op: OpPing})
 	if err != nil {
 		return err
 	}
-	reply, err := p.waitCtx(ctx)
+	reply, err := p.wait(ctx)
 	if err != nil {
 		return err
 	}

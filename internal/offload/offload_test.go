@@ -98,7 +98,7 @@ func TestClassifyOverTCP(t *testing.T) {
 	if c.Dim() != 4 || c.Classes() != 2 || c.MaxBatch() != DefaultMaxBatch {
 		t.Errorf("handshake advertised dim=%d classes=%d maxBatch=%d", c.Dim(), c.Classes(), c.MaxBatch())
 	}
-	label, scores, err := c.Classify([]float64{2, 1, 0, 0})
+	label, scores, err := c.Classify(context.Background(), []float64{2, 1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestClassifyOverTCP(t *testing.T) {
 		t.Errorf("scores = %v", scores)
 	}
 	// Stream another query on the same connection.
-	label, _, err = c.Classify([]float64{0, 0, 1, 2})
+	label, _, err = c.Classify(context.Background(), []float64{0, 0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 	}
 	// The client honors the advertised limit by chunking, so a 5-query
 	// batch succeeds through multiple round trips.
-	labels, err := c.ClassifyBatch([][]float64{
+	labels, err := c.ClassifyBatch(context.Background(), [][]float64{
 		{2, 1, 0, 0}, {0, 0, 1, 2}, {3, 3, 0, 0}, {0, 0, 2, 2}, {1, 2, 0, 0},
 	})
 	if err != nil {
@@ -263,7 +263,7 @@ func TestServerRejectsWrongDimQuery(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	if _, _, err := c.Classify([]float64{0.5}); err == nil {
+	if _, _, err := c.Classify(context.Background(), []float64{0.5}); err == nil {
 		t.Error("expected dimension error")
 	}
 }
@@ -282,7 +282,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for q := 0; q < queries; q++ {
-				if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+				if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil {
 					errs <- err
 					return
 				}
@@ -315,7 +315,7 @@ func TestContextCancelStopsServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+	if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -331,7 +331,7 @@ func TestContextCancelStopsServer(t *testing.T) {
 	// The open connection is closed by the shutdown.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+		if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -354,7 +354,7 @@ func TestGracefulShutdownFinishesInFlight(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+			if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil {
 				results <- err
 				return
 			}
@@ -382,7 +382,7 @@ func TestClassifyBatch(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	labels, err := c.ClassifyBatch([][]float64{
+	labels, err := c.ClassifyBatch(context.Background(), [][]float64{
 		{2, 1, 0, 0},
 		{0, 0, 1, 2},
 		{3, 3, 0, 0},
@@ -397,7 +397,7 @@ func TestClassifyBatch(t *testing.T) {
 		}
 	}
 	// A bad query in the batch fails the whole request with no results.
-	if _, err := c.ClassifyBatch([][]float64{{0.5, 1, 0, 0}, {0.5}}); err == nil {
+	if _, err := c.ClassifyBatch(context.Background(), [][]float64{{0.5, 1, 0, 0}, {0.5}}); err == nil {
 		t.Error("expected error for bad dimension")
 	}
 }
@@ -436,14 +436,14 @@ func TestPackedQueryClassifiesIdentically(t *testing.T) {
 	defer c.Close()
 	// A quantized (integer) query takes the packed path; a fractional one
 	// takes the float path. Both must classify correctly.
-	label, _, err := c.Classify([]float64{1, 1, -1, 0})
+	label, _, err := c.Classify(context.Background(), []float64{1, 1, -1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if label != 0 {
 		t.Errorf("packed-path label = %d, want 0", label)
 	}
-	label, _, err = c.Classify([]float64{0.1, 0.2, 1.5, 1.4})
+	label, _, err = c.Classify(context.Background(), []float64{0.1, 0.2, 1.5, 1.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestWiretapSeesQueries(t *testing.T) {
 	// both wire forms.
 	queries := [][]float64{{1, -1, 0, 1}, {0.25, 1, 0, 0}}
 	for _, q := range queries {
-		if _, _, err := c.Classify(q); err != nil {
+		if _, _, err := c.Classify(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -572,7 +572,7 @@ func TestEndToEndObfuscatedInference(t *testing.T) {
 
 	correct := 0
 	for i, x := range d.TestX {
-		label, _, err := client.Classify(edge.Prepare(x))
+		label, _, err := client.Classify(context.Background(), edge.Prepare(x))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -685,7 +685,7 @@ func TestMultiModelServing(t *testing.T) {
 		if c.ModelVersion() != 1 {
 			t.Errorf("dial %q ModelVersion = %d, want 1", tc.model, c.ModelVersion())
 		}
-		label, _, err := c.Classify(q)
+		label, _, err := c.Classify(context.Background(), q)
 		if err != nil {
 			t.Fatalf("classify via %q: %v", tc.model, err)
 		}
@@ -743,7 +743,7 @@ func TestAutoConfigureHandshakeDimZero(t *testing.T) {
 	if h.Encoding != info.Encoding || h.Levels != info.Levels || h.Features != info.Features || h.Seed != info.Seed {
 		t.Errorf("encoder setup = %+v, want %+v", h, info)
 	}
-	if label, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil || label != 0 {
+	if label, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil || label != 0 {
 		t.Errorf("classify after auto-configure: label %d, err %v", label, err)
 	}
 }
@@ -786,7 +786,7 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 					return
 				default:
 				}
-				labels, err := c.ClassifyBatch(q)
+				labels, err := c.ClassifyBatch(context.Background(), q)
 				if err != nil {
 					tl.err = err
 					return
@@ -839,21 +839,21 @@ func TestDeregisterMidStreamFailsFramesNotConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+	if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Deregister("gone"); err != nil {
 		t.Fatal(err)
 	}
 	// The frame is answered with a typed error, the connection survives...
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("classify after deregister = %v, want ErrUnknownModel", err)
 	}
 	// ...and the model coming back restores service on the same conn.
 	if _, err := reg.Register("gone", labelModel(1), registry.EncoderInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	label, _, err := c.Classify([]float64{1, 1, 0, 0})
+	label, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -965,7 +965,7 @@ func TestWorkerPoolServesManyConnections(t *testing.T) {
 			defer c.Close()
 			batch := [][]float64{{1, 1, 0, 0}, {0, 0, 1, 1}, {1, 1, 0, 0}, {0, 0, 1, 1}}
 			for r := 0; r < rounds; r++ {
-				labels, err := c.ClassifyBatch(batch)
+				labels, err := c.ClassifyBatch(context.Background(), batch)
 				if err != nil {
 					errs <- err
 					return
@@ -1052,7 +1052,7 @@ func TestSetDefaultDoesNotRebindLiveConnections(t *testing.T) {
 	if err := reg.SetDefault("beta"); err != nil {
 		t.Fatal(err)
 	}
-	label, _, err := c.Classify([]float64{1, 1, 0, 0})
+	label, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1165,7 +1165,7 @@ func TestConcurrentCallersShareOneConnection(t *testing.T) {
 				q = []float64{0, 0, 1, 1}
 			}
 			for r := 0; r < rounds; r++ {
-				label, _, err := c.Classify(q)
+				label, _, err := c.Classify(context.Background(), q)
 				if err != nil {
 					errs <- err
 					return
@@ -1206,7 +1206,7 @@ func TestListModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	models, err := c.ListModels()
+	models, err := c.ListModels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1224,7 +1224,7 @@ func TestListModels(t *testing.T) {
 	if _, err := reg.Swap("alpha", labelModel(0), registry.EncoderInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	models, err = c.ListModels()
+	models, err = c.ListModels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1293,7 +1293,7 @@ func TestIOTimeoutUnblocksHungServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	_, _, err = c.Classify([]float64{1, 1, 0, 0})
+	_, _, err = c.Classify(context.Background(), []float64{1, 1, 0, 0})
 	if !errors.Is(err, ErrIOTimeout) || !errors.Is(err, ErrTransport) {
 		t.Errorf("hung server: err = %v, want ErrIOTimeout (wrapping ErrTransport)", err)
 	}
@@ -1314,7 +1314,7 @@ func TestIOTimeoutSparesIdleConnections(t *testing.T) {
 	}
 	defer c.Close()
 	for round := 0; round < 2; round++ {
-		label, _, err := c.Classify([]float64{1, 1, 0, 0})
+		label, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -1386,7 +1386,7 @@ func TestShutdownWithInFlightPipelinedRequests(t *testing.T) {
 	results := make(chan error, frames)
 	for i := 0; i < frames; i++ {
 		go func() {
-			labels, err := c.ClassifyBatch(batch)
+			labels, err := c.ClassifyBatch(context.Background(), batch)
 			if err == nil {
 				for _, l := range labels {
 					if l != 0 {

@@ -182,7 +182,7 @@ func TestV5ClientGetsGoAwayOnShutdown(t *testing.T) {
 		t.Fatal("fresh connection reports draining")
 	}
 	// One round trip proves the connection works before the drain.
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+	if _, _, err := c.Classify(context.Background(), []float64{1, 1, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -298,7 +298,7 @@ func TestPartialScoresExactAndComposable(t *testing.T) {
 	defer c.Close()
 
 	q := []int8{1, -1, 1, 0}
-	partials, normSq, err := c.PartialScores([][]int8{q})
+	partials, normSq, err := c.PartialScores(context.Background(), [][]int8{q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPartialScoresExactAndComposable(t *testing.T) {
 	if normSq[0] != 2 || normSq[1] != 2 {
 		t.Errorf("normSq = %v, want [2 2]", normSq)
 	}
-	_, scores, err := c.Classify([]float64{1, -1, 1, 0})
+	_, scores, err := c.Classify(context.Background(), []float64{1, -1, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestPartialScoresRefusedForNonIntegerModel(t *testing.T) {
 	c := dialToy(t, addr)
 	defer c.Close()
 
-	_, _, err := c.PartialScores([][]int8{{1, 1, 0, 0}})
+	_, _, err := c.PartialScores(context.Background(), [][]int8{{1, 1, 0, 0}})
 	if !errors.Is(err, ErrPartialUnsupported) {
 		t.Errorf("err = %v, want ErrPartialUnsupported", err)
 	}

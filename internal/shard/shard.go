@@ -238,17 +238,21 @@ func wholeHello(h offload.ServerHello) offload.ServerHello {
 // the fleet's shared public encoder setup).
 func (co *Coordinator) Hello() offload.ServerHello { return co.hello }
 
-// Dim returns the full logical model dimensionality.
-func (co *Coordinator) Dim() int { return co.hello.Dim }
-
-// Classes returns the full logical model class count.
-func (co *Coordinator) Classes() int { return co.hello.Classes }
-
 // Groups returns the shard descriptors, one per failover group.
 func (co *Coordinator) Groups() []registry.ShardInfo {
 	out := make([]registry.ShardInfo, len(co.groups))
 	for i, g := range co.groups {
 		out[i] = g.info
+	}
+	return out
+}
+
+// Replicas snapshots the health and load of every replica of every
+// group.
+func (co *Coordinator) Replicas() []cluster.ReplicaStatus {
+	var out []cluster.ReplicaStatus
+	for _, g := range co.groups {
+		out = append(out, g.cl.Replicas()...)
 	}
 	return out
 }
@@ -288,7 +292,7 @@ func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace
 				op := func(actx context.Context, p *cluster.Pool) error {
 					attempts.Add(1)
 					return p.Do(actx, func(c *offload.Client) error {
-						partials, normSq, err := c.PartialScoresContext(actx, sub)
+						partials, normSq, err := c.PartialScores(actx, sub)
 						if err != nil {
 							return err
 						}

@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"bytes"
 	"context"
@@ -258,16 +256,9 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func() *privehd.Remote {
-		r, err := privehd.Dial(context.Background(), "tcp", dataLis.Addr().String(), edge, privehd.ForModel("toy"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	remote := dial()
-	if remote.ModelVersion() != 2 {
-		t.Fatalf("handshake after upload advertises v%d, want 2", remote.ModelVersion())
+	remote := mustConnectSingle(t, dataLis.Addr().String(), "toy", edge)
+	if v := remote.Status().ModelVersion; v != 2 {
+		t.Fatalf("handshake after upload advertises v%d, want 2", v)
 	}
 	if label, _, err := remote.Predict(X[0]); err != nil || label != 1-y[0] {
 		t.Fatalf("v2 predicts %d, %v; want inverted label %d", label, err, 1-y[0])
@@ -326,7 +317,7 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := privehd.Dial(context.Background(), "tcp", dataLis2.Addr().String(), edge, privehd.ForModel("toy"))
+			r, err := connectSingle(dataLis2.Addr().String(), "toy", edge)
 			if err != nil {
 				trfErr <- err
 				return
@@ -360,10 +351,10 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 	}
 
 	// New connections see v1 again — original labels.
-	r2 := dial2(t, dataLis2.Addr().String(), edge)
+	r2 := mustConnectSingle(t, dataLis2.Addr().String(), "toy", edge)
 	defer r2.Close()
-	if r2.ModelVersion() != 1 {
-		t.Fatalf("post-rollback handshake advertises v%d, want 1", r2.ModelVersion())
+	if v := r2.Status().ModelVersion; v != 1 {
+		t.Fatalf("post-rollback handshake advertises v%d, want 1", v)
 	}
 	if label, _, err := r2.Predict(X[0]); err != nil || label != y[0] {
 		t.Fatalf("post-rollback predicts %d, %v; want original label %d", label, err, y[0])
@@ -377,14 +368,4 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 	if !bytes.Contains(raw, []byte(`"active": 1`)) {
 		t.Fatalf("manifest does not record the rollback:\n%s", raw)
 	}
-}
-
-// dial2 dials a model connection or fails the test.
-func dial2(t *testing.T, addr string, edge *privehd.Edge) *privehd.Remote {
-	t.Helper()
-	r, err := privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel("toy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
 }

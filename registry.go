@@ -58,8 +58,8 @@ type ModelInfo struct {
 	Default bool
 }
 
-// modelInfosFromListings converts a wire registry listing (Remote/Pool/
-// Cluster ListModels) to the public ModelInfo shape.
+// modelInfosFromListings converts a wire registry listing
+// (Client.ListModels) to the public ModelInfo shape.
 func modelInfosFromListings(listings []offload.ModelListing) []ModelInfo {
 	out := make([]ModelInfo, len(listings))
 	for i, l := range listings {
@@ -109,6 +109,19 @@ func (r *Registry) Register(name string, p *Pipeline) error {
 	_, err = r.inner.Register(name, model, info)
 	return err
 }
+
+// ShardSlice names the slice of a logical model one replica serves: a
+// dimension range of every class plane, a class range, or both. Zero
+// DimLen means the full dimension range; zero ClassCount means every
+// class.
+type ShardSlice struct {
+	DimOffset, DimLen       int
+	ClassOffset, ClassCount int
+}
+
+// ShardInfo is a replica's shard descriptor as advertised in the v5
+// handshake: its slice plus the full logical geometry it came from.
+type ShardInfo = registry.ShardInfo
 
 // RegisterShard publishes a slice of a trained pipeline's model under
 // name: the class planes are restricted to s's dimension range and class
@@ -204,7 +217,7 @@ func NewRegistryServer(r *Registry, opts ...ServerOption) *Server {
 
 // ServeRegistry hosts a model registry on lis until ctx is cancelled — the
 // multi-model, hot-swappable big sibling of Serve. Clients pick a model
-// with ForModel (or DialModel); those that name none get the default.
+// with Target.Model; those that name none get the default.
 func ServeRegistry(ctx context.Context, lis net.Listener, r *Registry, opts ...ServerOption) error {
 	return NewRegistryServer(r, opts...).Serve(ctx, lis)
 }

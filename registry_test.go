@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"context"
 	"errors"
@@ -102,7 +100,7 @@ func TestServeRegistryMultiModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel(tc.model))
+		remote, err := connectSingle(addr, tc.model, edge)
 		if err != nil {
 			t.Fatalf("dial %q: %v", tc.model, err)
 		}
@@ -123,11 +121,12 @@ func TestServeRegistryMultiModel(t *testing.T) {
 		if acc := float64(correct) / float64(len(y)); acc < 0.9 {
 			t.Errorf("model %q accuracy %v on its own label map", tc.model, acc)
 		}
-		if tc.model != "" && remote.Model() != tc.model {
-			t.Errorf("remote bound to %q, want %q", remote.Model(), tc.model)
+		bound := remote.Status().Model
+		if tc.model != "" && bound != tc.model {
+			t.Errorf("remote bound to %q, want %q", bound, tc.model)
 		}
-		if tc.model == "" && remote.Model() != "straight" {
-			t.Errorf("default dial bound to %q, want straight (first registered)", remote.Model())
+		if tc.model == "" && bound != "straight" {
+			t.Errorf("default dial bound to %q, want straight (first registered)", bound)
 		}
 		remote.Close()
 	}
@@ -136,6 +135,9 @@ func TestServeRegistryMultiModel(t *testing.T) {
 	}
 }
 
+// TestDialUnknownModel: a single connection naming an unregistered model
+// is refused with ErrUnknownModel, with a caller-supplied edge and with
+// one auto-configured from the handshake.
 func TestDialUnknownModel(t *testing.T) {
 	pipe, _, _ := toyPipeline(t)
 	reg := privehd.NewRegistry()
@@ -148,12 +150,13 @@ func TestDialUnknownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel("ghost"))
+	target := privehd.Target{Addrs: []string{addr}, Model: "ghost", Topology: privehd.TopologySingle}
+	_, err = privehd.Connect(context.Background(), target, privehd.WithEdge(edge))
 	if !errors.Is(err, privehd.ErrUnknownModel) {
-		t.Errorf("dial ghost = %v, want ErrUnknownModel", err)
+		t.Errorf("Connect(ghost, WithEdge) = %v, want ErrUnknownModel", err)
 	}
-	if _, err := privehd.DialModel(context.Background(), "tcp", addr, "ghost"); !errors.Is(err, privehd.ErrUnknownModel) {
-		t.Errorf("DialModel ghost = %v, want ErrUnknownModel", err)
+	if _, err := privehd.Connect(context.Background(), target); !errors.Is(err, privehd.ErrUnknownModel) {
+		t.Errorf("Connect(ghost) = %v, want ErrUnknownModel", err)
 	}
 }
 
@@ -169,16 +172,14 @@ func TestDialModelAutoConfiguresEdge(t *testing.T) {
 	addr, _, cleanup := startRegistryServer(t, reg)
 	defer cleanup()
 
-	remote, err := privehd.DialModel(context.Background(), "tcp", addr, "auto")
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := mustConnectSingle(t, addr, "auto", nil)
 	defer remote.Close()
-	if remote.Dim() != pipe.Dim() || remote.Classes() != pipe.Classes() {
-		t.Fatalf("auto-configured remote: dim %d classes %d", remote.Dim(), remote.Classes())
+	st := remote.Status()
+	if st.Dim != pipe.Dim() || st.Classes != pipe.Classes() {
+		t.Fatalf("auto-configured remote: dim %d classes %d", st.Dim, st.Classes)
 	}
-	if remote.Model() != "auto" || remote.ModelVersion() != 1 {
-		t.Errorf("bound to %q v%d, want auto v1", remote.Model(), remote.ModelVersion())
+	if st.Model != "auto" || st.ModelVersion != 1 {
+		t.Errorf("bound to %q v%d, want auto v1", st.Model, st.ModelVersion)
 	}
 	edge := remote.Edge()
 	if edge == nil || edge.Dim() != pipe.Dim() || edge.Features() != pipe.Features() {
@@ -238,7 +239,7 @@ func TestRegistryHotSwapUnderConcurrentTraffic(t *testing.T) {
 				errs <- err
 				return
 			}
-			remote, err := privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel("hot"))
+			remote, err := connectSingle(addr, "hot", edge)
 			if err != nil {
 				errs <- err
 				return
@@ -343,13 +344,10 @@ func TestPredictBatchChunksBeyondMaxBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := mustConnectSingle(t, addr, "", edge)
 	defer remote.Close()
-	if remote.MaxBatch() != 4 {
-		t.Fatalf("advertised MaxBatch = %d, want 4", remote.MaxBatch())
+	if mb := remote.Status().MaxBatch; mb != 4 {
+		t.Fatalf("advertised MaxBatch = %d, want 4", mb)
 	}
 	labels, err := remote.PredictBatch(X) // 40 queries, 10 chunks
 	if err != nil {

@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"context"
 	"encoding/gob"
@@ -46,6 +44,27 @@ func startPipelineServer(t *testing.T, p *privehd.Pipeline) (string, *privehd.Se
 	return lis.Addr().String(), srv, cleanup
 }
 
+// connectSingle connects one pipelined connection to addr, bound to model
+// and carrying edge's queries (nil edge: auto-configure from the server).
+func connectSingle(addr, model string, edge *privehd.Edge, opts ...privehd.ConnectOption) (privehd.Client, error) {
+	if edge != nil {
+		opts = append(opts, privehd.WithEdge(edge))
+	}
+	return privehd.Connect(context.Background(), privehd.Target{
+		Addrs: []string{addr}, Model: model, Topology: privehd.TopologySingle,
+	}, opts...)
+}
+
+// mustConnectSingle is connectSingle failing the test on error.
+func mustConnectSingle(t *testing.T, addr, model string, edge *privehd.Edge, opts ...privehd.ConnectOption) privehd.Client {
+	t.Helper()
+	c, err := connectSingle(addr, model, edge, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestServeDialPredict(t *testing.T) {
 	pipe, X, y := toyPipeline(t)
 	addr, srv, cleanup := startPipelineServer(t, pipe)
@@ -55,13 +74,10 @@ func TestServeDialPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := mustConnectSingle(t, addr, "", edge)
 	defer remote.Close()
-	if remote.Dim() != pipe.Dim() || remote.Classes() != pipe.Classes() {
-		t.Fatalf("handshake advertised dim=%d classes=%d", remote.Dim(), remote.Classes())
+	if st := remote.Status(); st.Dim != pipe.Dim() || st.Classes != pipe.Classes() {
+		t.Fatalf("handshake advertised dim=%d classes=%d", st.Dim, st.Classes)
 	}
 
 	labels, err := remote.PredictBatch(X)
@@ -100,7 +116,7 @@ func TestDialRejectsGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = privehd.Dial(context.Background(), "tcp", addr, wrong)
+	_, err = connectSingle(addr, "", wrong)
 	if !errors.Is(err, privehd.ErrGeometryMismatch) {
 		t.Errorf("dim-256 edge against dim-512 server: err = %v, want ErrGeometryMismatch", err)
 	}
@@ -108,7 +124,7 @@ func TestDialRejectsGeometryMismatch(t *testing.T) {
 
 func TestDialRejectsVersionMismatch(t *testing.T) {
 	// A fake server that completes the handshake advertising a future
-	// protocol version; Dial must refuse it with a typed error.
+	// protocol version; Connect must refuse it with a typed error.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +157,7 @@ func TestDialRejectsVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge)
+	_, err = connectSingle(lis.Addr().String(), "", edge)
 	if !errors.Is(err, privehd.ErrVersionMismatch) {
 		t.Errorf("v%d server: err = %v, want ErrVersionMismatch", privehd.ProtocolVersion+1, err)
 	}
@@ -159,10 +175,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRemote, err := privehd.Dial(context.Background(), "tcp", addr, refEdge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refRemote := mustConnectSingle(t, addr, "", refEdge)
 	want, err := refRemote.PredictBatch(X)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +194,7 @@ func TestServeConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
+			remote, err := connectSingle(addr, "", edge)
 			if err != nil {
 				errs <- err
 				return
@@ -227,10 +240,7 @@ func TestServeStopsOnContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := mustConnectSingle(t, lis.Addr().String(), "", edge)
 	defer remote.Close()
 	if _, _, err := remote.Predict(X[0]); err != nil {
 		t.Fatal(err)
@@ -245,8 +255,8 @@ func TestServeStopsOnContextCancel(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Serve did not return after cancellation")
 	}
-	if _, err := privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge); err == nil {
-		t.Error("Dial after shutdown should fail")
+	if _, err := connectSingle(lis.Addr().String(), "", edge); err == nil {
+		t.Error("Connect after shutdown should fail")
 	}
 }
 
@@ -257,5 +267,47 @@ func TestNewServerRequiresTrainedPipeline(t *testing.T) {
 	}
 	if _, err := privehd.NewServer(p); !errors.Is(err, privehd.ErrNotTrained) {
 		t.Errorf("NewServer(untrained) = %v, want ErrNotTrained", err)
+	}
+}
+
+// TestConnectOverloadRefusalStaysTyped: every dial a server refuses at its
+// connection limit must reach the caller as ErrOverloaded, under any
+// interleaving — never as a plain ErrTransport from a TCP reset that
+// destroyed the refusal (a server closing with the client's Hello still
+// unread resets the connection).
+func TestConnectOverloadRefusalStaysTyped(t *testing.T) {
+	pipe, _, _ := toyPipeline(t)
+	reg := privehd.NewRegistry()
+	if err := reg.Register(privehd.DefaultModelName, pipe); err != nil {
+		t.Fatal(err)
+	}
+	addr, _, cleanup := startRegistryServer(t, reg, privehd.WithMaxConns(1))
+	defer cleanup()
+	holder := mustConnectSingle(t, addr, "", nil) // takes the only slot
+	defer holder.Close()
+
+	const dialers, rounds = 32, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, dialers*rounds)
+	for i := 0; i < dialers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				c, err := connectSingle(addr, "", nil)
+				switch {
+				case err == nil:
+					c.Close()
+					errs <- errors.New("admitted past the connection limit")
+				case !errors.Is(err, privehd.ErrOverloaded):
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("refused dial: %v, want ErrOverloaded", err)
 	}
 }

@@ -120,15 +120,15 @@ func TestShardedEquivalentToWholeAcrossQuantizers(t *testing.T) {
 			}
 			defer sc.Close()
 
-			sharded, ok := sc.(*privehd.Sharded)
-			if !ok {
-				t.Fatalf("TopologySharded connected a %T", sc)
+			st := sc.Status()
+			if st.Topology != privehd.TopologySharded {
+				t.Fatalf("TopologySharded connected a %v client", st.Topology)
 			}
-			if got := len(sharded.Shards()); got != 2 {
+			if got := len(st.Shards); got != 2 {
 				t.Fatalf("coordinator sees %d shard groups, want 2", got)
 			}
-			if sharded.Dim() != dim {
-				t.Fatalf("logical dim %d, want %d", sharded.Dim(), dim)
+			if st.Dim != dim {
+				t.Fatalf("logical dim %d, want %d", st.Dim, dim)
 			}
 
 			for i, x := range X {
@@ -193,11 +193,11 @@ func TestShardedGridEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	sharded, ok := sc.(*privehd.Sharded)
-	if !ok {
-		t.Fatalf("auto topology over shard replicas connected a %T, want *privehd.Sharded", sc)
+	st := sc.Status()
+	if st.Topology != privehd.TopologySharded {
+		t.Fatalf("auto topology over shard replicas connected a %v client, want sharded", st.Topology)
 	}
-	if got := len(sharded.Shards()); got != 4 {
+	if got := len(st.Shards); got != 4 {
 		t.Fatalf("coordinator sees %d shard groups, want 4", got)
 	}
 
@@ -286,44 +286,84 @@ func TestShardedReplicaKillZeroDrops(t *testing.T) {
 	}
 }
 
-// TestConnectTopologiesReturnConcreteClients pins the Connect dispatch:
-// each explicit topology yields its concrete client type, and the
-// single-address auto default is a pool.
+// TestConnectTopologiesReturnConcreteClients is the Connect conformance
+// table: every topology — explicit or sniffed by TopologyAuto — returns a
+// working client that serves exactly the label the pipeline computes
+// locally for the same prepared query, reports its resolved topology and
+// fleet shape in Status, and refuses an unknown model with the typed
+// ErrUnknownModel (never a dead-fleet ErrNoHealthyReplicas).
 func TestConnectTopologiesReturnConcreteClients(t *testing.T) {
-	pipe, _, _ := toyPipeline(t)
+	pipe, X, _ := toyPipeline(t)
 	reg := privehd.NewRegistry()
 	if err := reg.Register("m", pipe); err != nil {
 		t.Fatal(err)
 	}
 	a := serveRegistry(t, reg)
 	b := serveRegistry(t, reg)
+	shards := fleetAddrs(serveShardFleet(t, "m", pipe, halves(pipe.Dim()), 1))
+	edge, err := pipe.Edge()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	cases := []struct {
-		name   string
-		target privehd.Target
-		want   string
+		name             string
+		target           privehd.Target
+		want             privehd.Topology
+		replicas, shards int
 	}{
-		{"single", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologySingle}, "*privehd.Remote"},
-		{"pool", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologyPool}, "*privehd.Pool"},
-		{"auto single addr", privehd.Target{Addrs: []string{a.addr}}, "*privehd.Pool"},
-		{"cluster", privehd.Target{Addrs: []string{a.addr, b.addr}, Topology: privehd.TopologyCluster}, "*privehd.Cluster"},
-		{"auto whole replicas", privehd.Target{Addrs: []string{a.addr, b.addr}}, "*privehd.Cluster"},
+		{"single", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologySingle}, privehd.TopologySingle, 1, 0},
+		{"pool", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologyPool}, privehd.TopologyPool, 1, 0},
+		{"auto single addr", privehd.Target{Addrs: []string{a.addr}}, privehd.TopologyPool, 1, 0},
+		{"cluster", privehd.Target{Addrs: []string{a.addr, b.addr}, Topology: privehd.TopologyCluster}, privehd.TopologyCluster, 2, 0},
+		{"auto whole replicas", privehd.Target{Addrs: []string{a.addr, b.addr}}, privehd.TopologyCluster, 2, 0},
+		{"sharded", privehd.Target{Addrs: shards, Topology: privehd.TopologySharded}, privehd.TopologySharded, 2, 2},
+		{"auto shard replicas", privehd.Target{Addrs: shards}, privehd.TopologySharded, 2, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := privehd.Connect(ctx, tc.target)
+			target := tc.target
+			target.Model = "m"
+			c, err := privehd.Connect(ctx, target)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if got := fmt.Sprintf("%T", c); got != tc.want {
-				t.Fatalf("Connect returned %s, want %s", got, tc.want)
+
+			st := c.Status()
+			if st.Topology != tc.want || len(st.Replicas) != tc.replicas || len(st.Shards) != tc.shards {
+				t.Fatalf("Status = %v with %d replicas, %d shards; want %v with %d, %d",
+					st.Topology, len(st.Replicas), len(st.Shards), tc.want, tc.replicas, tc.shards)
 			}
-			if label, _, err := c.(interface {
-				Predict([]float64) (int, []float64, error)
-			}).Predict(make([]float64, 12)); err != nil {
-				t.Fatalf("predict through %s: %v (label %d)", tc.want, err, label)
+			if st.Model != "m" || st.ModelVersion != 1 || st.Dim != pipe.Dim() || st.Classes != pipe.Classes() {
+				t.Fatalf("Status = %+v, want model m v1 of %dx%d", st, pipe.Dim(), pipe.Classes())
+			}
+			for i, x := range X {
+				q, err := edge.Prepare(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := pipe.PredictVector(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := c.PredictPrepared(q)
+				if err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+				if got != want {
+					t.Fatalf("query %d: served label %d, pipeline label %d", i, got, want)
+				}
+			}
+
+			target.Model = "ghost"
+			_, err = privehd.Connect(ctx, target)
+			if !errors.Is(err, privehd.ErrUnknownModel) {
+				t.Errorf("Connect(ghost) = %v, want ErrUnknownModel", err)
+			}
+			if errors.Is(err, privehd.ErrNoHealthyReplicas) {
+				t.Errorf("protocol rejection misreported as a dead fleet: %v", err)
 			}
 		})
 	}

@@ -20,8 +20,8 @@ import (
 
 // SetTraceSampling sets the process-wide fraction of requests that are
 // traced: 0 disables tracing (the default), 1 traces everything, values
-// between sample uniformly. It applies to client-side submissions
-// (Remote, Pool, Cluster) and to server frames that arrive untraced.
+// between sample uniformly. It applies to client-side submissions (every
+// Client topology) and to server frames that arrive untraced.
 func SetTraceSampling(rate float64) { trace.SetSampling(rate) }
 
 // TraceSampling returns the current trace sampling rate.
@@ -44,8 +44,9 @@ type TraceSnapshot = trace.Snapshot
 // callback runs on the connection's receive goroutine; keep it fast.
 func OnTrace(fn func(TraceEntry)) { trace.SetObserver(fn) }
 
-// ClientTraces snapshots the process-wide client-side flight recorder
-// (traced Remote/Pool/Cluster requests).
+// ClientTraces snapshots the process-wide client-side flight recorder —
+// the slowest and most recent errored traced requests this process has
+// sent, across every Client.
 func ClientTraces() TraceSnapshot { return trace.Client.Snapshot() }
 
 // ServerTraces snapshots the process-wide server-side flight recorder —
