@@ -26,14 +26,22 @@
 // privehd.Connect: a versioned wire protocol with
 // goroutine-per-connection reads, a bounded scoring worker pool shared
 // across connections (WithServerWorkers), context cancellation, graceful
-// shutdown and batched queries on a packed one-byte-per-dimension form.
-// The protocol is at v5; frames are gob messages after a "PHD"+version
-// handshake, each version a strict field superset of the last:
+// shutdown and batched queries packed at two bits per symbol. The
+// protocol is at v6: a "PHD"+version header and a gob handshake, then
+// length-prefixed little-endian binary frames for every request and reply
+// — quantized queries as 2-bit codes, scores and partial dot products as
+// their raw bits, so v6 answers are bit-identical to v5 answers at about a
+// third of the bytes and without gob's reflection on any served
+// prediction (the frame layout is in the internal/offload package
+// documentation). v2–v5 frames are gob messages, each version a strict
+// field superset of the last, and a v6 server still answers those peers
+// byte for byte — so servers upgrade first:
 //
 //	v2: Hello{Dim,Classes}         Request{Queries}             Reply{Code,Detail,Results}
 //	v3: Hello{…,Model}             Request{Queries}             Reply{…}               (+ encoder setup in ServerHello)
 //	v4: Hello{…,Model}             Request{ID,Op,Queries,Trace} Reply{ID,…,Models,Timing}
-//	v5: Hello{…,Model}             Request{…}                   Reply{…,Partials,NormSq,GoAway} (+ Shard in ServerHello)
+//	v5: Hello{…,Model}             Request{…,BudgetNs}          Reply{…,Partials,NormSq,GoAway} (+ Shard in ServerHello)
+//	v6: Hello{…,Model}             binary request frame         binary reply frame
 //
 // Trace and Timing are the optional end-to-end tracing fields: a sampled
 // request carries a 64-bit trace ID to the server and gets its
@@ -47,10 +55,8 @@
 // exact integer partial dot products plus class norm squares for packed
 // queries, and a draining v5 server pushes one Reply{ID:0, GoAway:true}
 // frame before half-closing, so clients stop submitting to it before the
-// FIN arrives. A v5 server still serves v2–v4 clients byte-for-byte
-// identically — the new fields are gob-omitted when unused — and a v5
-// client meeting an older server surfaces the typed ErrVersionMismatch
-// refusal rather than retrying.
+// FIN arrives. A v6 client meeting an older server surfaces the typed
+// ErrVersionMismatch refusal rather than retrying.
 //
 // v4's per-request IDs make connections pipelined: requests from any
 // number of goroutines interleave over one connection through dedicated

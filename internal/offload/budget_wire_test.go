@@ -61,7 +61,7 @@ func TestDeadlinedClientAgainstPreBudgetServer(t *testing.T) {
 
 	addr, _, cleanup := startServer(t, labelModel(1))
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	defer conn.Close()
 
 	// The "pre-budget server" side is simulated by the real server

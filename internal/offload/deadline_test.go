@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -50,7 +51,7 @@ func TestServerShedsExpiredQueuedFrame(t *testing.T) {
 	defer cleanup()
 	before := mRejections.With(codeDeadline).Value()
 
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4096})
+	conn, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4096})
 	defer conn.Close()
 	// 512 queries × (64 classes · 4096 dims) on one worker takes tens of
 	// milliseconds; a 1ms budget must expire while later tasks still sit
@@ -82,7 +83,7 @@ func TestServerShedsExpiredQueuedFrame(t *testing.T) {
 func TestServerShedsExpiredAtEntry(t *testing.T) {
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	defer conn.Close()
 	// A 1ns budget is over by the time the server even looks at the
 	// frame: the pre-dispatch check sheds it without queueing any task.
@@ -192,34 +193,33 @@ func TestPingPreBudgetServer(t *testing.T) {
 // to handshake and then reject every ping frame with codeBadOp — the
 // behaviour of a server that predates OpPing.
 func fakeServeBadOpPing(conn net.Conn) {
+	br := bufio.NewReader(conn)
 	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		return
 	}
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
 	var hello Hello
-	if dec.Decode(&hello) != nil {
+	if gob.NewDecoder(br).Decode(&hello) != nil {
 		return
 	}
 	sh := ServerHello{
 		Version: ProtocolVersion, Dim: 4, Classes: 2, MaxBatch: DefaultMaxBatch,
 		MinSymbol: -8, MaxSymbol: 8,
 	}
-	if enc.Encode(sh) != nil {
+	if gob.NewEncoder(conn).Encode(sh) != nil {
 		return
 	}
 	for {
-		var req Request
-		if dec.Decode(&req) != nil {
+		var f frame
+		if readRequest(br, requestLimits(4, DefaultMaxBatch), &f) != nil {
 			return
 		}
-		reply := Reply{ID: req.ID}
-		if req.Op == OpPing {
+		reply := Reply{ID: f.req.ID}
+		if f.req.Op == OpPing {
 			reply.Code = codeBadOp
 			reply.Detail = "op \"ping\" (this server speaks v5)"
 		}
-		if enc.Encode(reply) != nil {
+		if _, err := conn.Write(appendReply(nil, &reply)); err != nil {
 			return
 		}
 	}

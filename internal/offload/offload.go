@@ -4,77 +4,116 @@
 // obfuscated vector; the server holds the full-precision model and returns
 // the predicted label.
 //
-// # Wire protocol (version 5)
+// # Wire protocol (version 6)
 //
 // A connection opens with a fixed 4-byte header from the client — the magic
 // bytes "PHD" plus one protocol version byte — followed by a gob-encoded
 // Hello advertising the client's encoder geometry and, since v3, the name
 // of the model it wants served (empty = the registry default). The server
-// answers with a ServerHello that either accepts — echoing the resolved
-// model's name, publication version, geometry, batch limit, packed-symbol
-// alphabet and, since v3, the model's full public encoder setup (encoding,
-// levels, seed, features) so edges can auto-configure instead of matching
-// flags by hand — or rejects with a typed code: peers with a mismatched
-// version or geometry, or naming an unknown model, are refused at the
-// handshake instead of gob-decoding garbage mid-stream. v2, v3 and v4
-// clients are still accepted (a v2 Hello carries no model name and resolves
-// to the default model).
+// answers with a gob-encoded ServerHello that either accepts — echoing the
+// resolved model's name, publication version, geometry, batch limit,
+// packed-symbol alphabet and, since v3, the model's full public encoder
+// setup (encoding, levels, seed, features) so edges can auto-configure
+// instead of matching flags by hand — or rejects with a typed code: peers
+// with a mismatched version or geometry, or naming an unknown model, are
+// refused at the handshake instead of decoding garbage mid-stream.
 //
 // Since v5 the accepted ServerHello may also carry a shard descriptor
 // (Shard): when the served entry holds only a slice of a larger logical
 // model — a dimension range and/or class range — the descriptor names the
 // slice and the full geometry, so scatter–gather coordinators discover
 // fleet topology from the handshakes instead of being configured with it.
-// Non-sharded entries leave the field nil, which gob omits, keeping their
-// handshakes byte-identical for older peers.
+// Non-sharded entries leave the field nil, which gob omits.
 //
-// After the handshake the client streams Request frames. The v4 frame
-// layout extends v2/v3 with correlation and control fields, gob-encoded so
-// each version's frames are a strict field superset of the previous one:
+// After a v6 handshake all data-plane traffic, in both directions, is
+// length-prefixed little-endian binary frames. Every frame starts with the
+// same 14-byte header:
+//
+//	offset  size  field
+//	0       4     length of the rest of the frame (everything after this field)
+//	4       1     kind: the request op, or the reply body kind
+//	5       1     flags: which optional fields follow
+//	6       8     ID: client-chosen correlation number, echoed on the reply
+//
+// A request frame continues with its optional fields, then its queries:
+//
+//	flags bit 0   i64 BudgetNs (remaining deadline budget)
+//	flags bit 1   u64 Trace (trace ID of a sampled request)
+//	              u32 query count
+//	per query     u8 form, u32 dim, payload
+//	  form 0      2-bit packed: ceil(dim/4) bytes, symbol s stored as code s+2,
+//	              four codes per byte, low bits first; pad bits must be zero
+//	  form 1      full precision: dim float64s
+//	kind          0 classify, 1 list-models, 2 partial-scores, 3 ping
+//
+// A reply frame continues with:
+//
+//	flags bit 0   refused: u8 code, u16 detail length, detail (no body follows)
+//	flags bit 1   StageTiming of a traced request: i64 queue, score, total ns
+//	flags bit 2   GoAway: an unsolicited drain notice with ID 0
+//	kind 0        no body (ping, GoAway)
+//	kind 1        results: u32 n, u32 classes, n × (i32 label, classes float64 scores)
+//	kind 2        partials: u32 n, u32 classes, n × classes int64 dots, classes float64 Σv²
+//	kind 3        model listing: a gob-encoded []ModelListing
+//
+// Scores and partials travel as their raw bits, so v6 answers are
+// bit-identical to v5 answers. A pad bit that is not zero gives a query a
+// second encoding, so the server refuses it (symbol-out-of-range). The
+// server derives its longest acceptable request frame from the handshake
+// geometry and MaxBatch; a longer frame is skipped unread and refused
+// (batch-too-large), as are frames with too many queries or queries of the
+// wrong dim (dimension-mismatch), without allocating for them. A frame cut
+// short, or inconsistent with its own length, ends the connection; clients
+// see ErrTransport.
+//
+// Version 6 changes only the data plane, so upgrades go server first: a v6
+// server still answers v2–v5 peers with the gob frames they speak, byte
+// for byte, while a v6 client refused by an older server gets the typed
+// ErrVersionMismatch. On v2–v5 connections the client streams gob-encoded
+// Request frames; each version's frames are a strict field superset of
+// the previous one:
 //
 //	v2/v3 Request: {Queries []Query}                 → Reply: {Code, Detail, Results}
 //	v4    Request: {ID, Op, Queries []Query, Trace}  → Reply: {ID, Code, Detail, Results, Models, Timing}
-//	v5    Request: same as v4                        → Reply: v4 + {Partials, NormSq, GoAway}
+//	v5    Request: v4 + {BudgetNs}                   → Reply: v4 + {Partials, NormSq, GoAway}
 //
-// The three v5 reply fields serve sharded scatter–gather: OpPartialScores
+// The partial-score reply serves sharded scatter–gather: OpPartialScores
 // answers with raw per-class int64 dot products (Partials, one row per
 // query) plus the per-class Σv² of the served slice (NormSq) instead of
 // labels — a coordinator sums both across dimension shards exactly and
 // finishes the norm division itself, reproducing whole-model scores
 // bit-for-bit. GoAway is a server-push drain notice: when a graceful
-// shutdown begins, v5 connections receive an unsolicited Reply{GoAway:
-// true} (ID 0, never assigned to a request) before the write side
+// shutdown begins, v5 and v6 connections receive an unsolicited GoAway
+// reply (ID 0, never assigned to a request) before the write side
 // half-closes, so coordinators and pools stop routing new work to a
 // draining replica instead of discovering the FIN with a request already
-// in flight. All three fields are zero-valued on ordinary traffic, which
-// gob omits — v4 frames and replies remain byte-identical.
+// in flight.
 //
 // Trace and Timing are the optional tracing fields: a client that sampled
 // the request sends its 64-bit trace ID on the frame, and the server
 // answers a traced request with its per-stage timing breakdown
-// (StageTiming). Both are zero-valued on untraced traffic, which gob omits
-// entirely — so untraced frames are byte-identical to pre-trace v4 frames,
-// and peers on either side that predate the fields silently drop them (the
-// same field-superset rule that keeps v2/v3 peers working). No version
-// bump is needed or taken.
+// (StageTiming). On gob connections both are zero-valued on untraced
+// traffic, which gob omits, so untraced v4/v5 frames are byte-identical to
+// pre-trace frames; on v6 they are flagged fields, absent when unused.
 //
-// ID is a client-chosen correlation number echoed on the Reply; on a v4
+// ID is a client-chosen correlation number echoed on the reply; on a v4+
 // connection the server handles frames concurrently and MAY answer them
 // out of order, so clients pipeline many requests over one connection and
 // match replies by ID (the Client below runs dedicated send/recv goroutines
 // with an in-flight table). On v2/v3 connections frames are answered
 // strictly in order, one at a time, exactly as before. Op selects the
-// frame's operation: empty for classification, OpListModels for a registry
-// listing (Reply.Models) so clients can discover served models without
-// out-of-band configuration.
+// frame's operation: classification, a registry listing (OpListModels) so
+// clients can discover served models without out-of-band configuration,
+// partial scores, or a liveness ping.
 //
-// Each classification Request carries up to MaxBatch query hypervectors,
-// and the server answers each frame with one Reply carrying the per-query
+// Each classification request carries up to MaxBatch query hypervectors,
+// and the server answers each frame with one reply carrying the per-query
 // labels and scores. Queries are scored on a bounded worker pool shared by
 // every connection (WithWorkers), each query dispatched individually so one
 // large or slow batch cannot monopolize the server. Quantized queries
-// travel packed (one byte per dimension); the server validates every packed
-// symbol against the advertised alphabet.
+// travel packed — two bits per symbol on v6, one byte on older versions —
+// and the server validates every packed symbol against the advertised
+// alphabet.
 //
 // The models behind a server live in a registry (internal/registry): each
 // Request frame resolves its model name against the current registry
@@ -87,6 +126,7 @@
 package offload
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -94,6 +134,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -108,21 +149,23 @@ import (
 )
 
 // ProtocolVersion is the wire protocol version this package speaks. The
-// server also accepts versionV2, versionV3 and versionV4 peers; anything
-// else is rejected during the handshake.
-const ProtocolVersion = 5
+// server also accepts versionV2 through versionV5 peers; anything else is
+// rejected during the handshake.
+const ProtocolVersion = 6
 
-// versionV2–versionV4 are the previous protocol versions, still accepted
+// versionV2–versionV5 are the previous protocol versions, still accepted
 // by the server: a v2 Hello carries no model name and resolves to the
 // default model, v2/v3 frames carry no request IDs and are answered
 // strictly in order, v4 connections pipeline but receive no shard
 // descriptors, partial-score replies or GoAway drain notices, and each
 // newer ServerHello/Reply is a strict field superset of the previous one
-// (gob drops the fields an old client does not know).
+// (gob drops the fields an old client does not know). v2–v5 frames are
+// gob-encoded Request and Reply values; v6 replaces them with binary frames.
 const (
 	versionV2 = 2
 	versionV3 = 3
 	versionV4 = 4
+	versionV5 = 5
 )
 
 // DefaultModelName is the registry name NewServer publishes a single model
@@ -313,12 +356,13 @@ type ServerHello struct {
 type Query struct {
 	// Vector is the offloaded query hypervector in full precision.
 	Vector []float64
-	// Packed carries a small-alphabet (quantized) query as one byte per
-	// dimension — an 8× wire saving that §III-C's quantization makes
-	// possible ("transferring the least amount of information"). Servers
-	// only accept symbols within the alphabet advertised in their
-	// ServerHello ([MinSymbol, MaxSymbol], i.e. −2…+1); anything else is
-	// rejected with ErrSymbolOutOfRange.
+	// Packed carries a small-alphabet (quantized) query as one symbol per
+	// dimension. v6 frames carry it as 2-bit codes, a 32× wire saving over
+	// float64 that §III-C's quantization makes possible ("transferring the
+	// least amount of information"); v2–v5 gob frames carry one byte per
+	// symbol. Servers only accept symbols within the alphabet advertised in
+	// their ServerHello ([MinSymbol, MaxSymbol], i.e. −2…+1); anything else
+	// is rejected with ErrSymbolOutOfRange.
 	Packed []int8
 }
 
@@ -611,18 +655,18 @@ func NewRegistryServer(reg *registry.Registry, opts ...ServerOption) *Server {
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // task is one query dispatched to the worker pool: score query against
-// model (packed queries on the registry entry's integer engine), store into
-// *out, signal wg.
+// model (packed queries on the registry entry's integer engine) into the
+// preallocated row of *out, signal wg.
 type task struct {
 	model  *hdc.Model
 	scorer *intscore.Engine
 	query  Query
 	out    *Result
 	// partials, when non-nil, switches the task to partial-score mode: the
-	// raw int64 dots land there instead of a labeled Result. The answer
-	// path guarantees scorer is partial-capable and the query packed
-	// before dispatch.
-	partials *[]int64
+	// raw int64 dots land in that preallocated row instead of a labeled
+	// Result. The answer path guarantees scorer is partial-capable and the
+	// query packed before dispatch.
+	partials []int64
 	wg       *sync.WaitGroup
 	// enq and span feed the frame's stage timers: the pool records how
 	// long the task waited for a worker (queue-wait, max across the batch)
@@ -644,8 +688,8 @@ type task struct {
 // somehow carries no engine. Vector wins when both wire fields are
 // (ab)used, exactly as answerClassify validated the frame's dimensionality
 // — so a frame carrying a valid Vector plus a wrong-length Packed can
-// never reach the packed scorer and panic a pool worker. The scores slice
-// is the only per-query allocation: it escapes into the Reply.
+// never reach the packed scorer and panic a pool worker. Scores land in
+// rows the answer path sized from the model, so scoring allocates nothing.
 func (t task) run() {
 	start := time.Now()
 	t.span.ObserveMax(trace.StageQueueWait, start.Sub(t.enq))
@@ -655,14 +699,12 @@ func (t task) run() {
 		return
 	}
 	if t.partials != nil {
-		out := make([]int64, t.scorer.NumClasses())
-		t.scorer.PartialsPackedInto(t.query.Packed, out)
-		*t.partials = out
+		t.scorer.PartialsPackedInto(t.query.Packed, t.partials)
 		t.span.ObserveSince(trace.StageScore, start)
 		t.wg.Done()
 		return
 	}
-	scores := make([]float64, t.model.NumClasses())
+	scores := t.out.Scores
 	if t.query.Vector != nil {
 		t.model.ScoresInto(t.query.Vector, scores)
 	} else if t.scorer != nil {
@@ -670,7 +712,7 @@ func (t task) run() {
 	} else {
 		t.model.ScoresPackedInto(t.query.Packed, scores)
 	}
-	*t.out = Result{Label: vecmath.ArgMax(scores), Scores: scores}
+	t.out.Label = vecmath.ArgMax(scores)
 	t.span.ObserveSince(trace.StageScore, start)
 	t.wg.Done()
 }
@@ -742,7 +784,7 @@ func (s *Server) Served() int {
 	return s.served
 }
 
-// maxConnPipeline bounds how many v4 frames one connection may have in
+// maxConnPipeline bounds how many v4+ frames one connection may have in
 // flight on the server: past it the connection's read loop stops decoding
 // until a frame completes, so TCP backpressure paces a client that
 // pipelines faster than the server answers.
@@ -750,13 +792,16 @@ const maxConnPipeline = 128
 
 // srvConn tracks one client connection's lifecycle for graceful shutdown,
 // plus the model name and protocol version the handshake bound it to. On
-// v4 connections many frames may be in flight at once, so the busy state is
-// a counter and replies are serialized by writeMu.
+// v4+ connections many frames may be in flight at once, so the busy state
+// is a counter and replies are serialized by writeMu.
 type srvConn struct {
 	conn    net.Conn
 	peer    string // remote address, cached so per-frame entries don't re-format it
 	model   string // requested model name; "" = registry default
-	version byte   // negotiated protocol version (2–5)
+	version byte   // negotiated protocol version (2–6)
+	// enc writes the handshake answer, and every reply on v2–v5
+	// connections; v6 replies are binary frames written straight to conn.
+	enc *gob.Encoder
 
 	writeMu sync.Mutex     // serializes replies from concurrent v4+ frames
 	frames  sync.WaitGroup // in-flight v4+ frame goroutines
@@ -843,18 +888,13 @@ func (c *srvConn) gracefulClose() {
 	c.conn.Close()
 }
 
-// drainRefused discards incoming frames after a graceful close has refused
+// drainRefused discards incoming bytes after a graceful close has refused
 // further work, until the peer sees the FIN and hangs up (EOF) or the
 // drain bound expires — it keeps the receive window open so the peer's
 // in-flight writes cannot trigger a reset before it reads its replies.
-func (c *srvConn) drainRefused(dec *gob.Decoder) {
+func (c *srvConn) drainRefused(r io.Reader) {
 	c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-	}
+	io.Copy(io.Discard, r)
 }
 
 // Serve accepts connections until the listener closes, the context is
@@ -1047,29 +1087,34 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handle runs the handshake then answers Request frames until the peer
-// hangs up or shutdown closes the connection.
+// handle runs the handshake then answers request frames until the peer
+// hangs up or shutdown closes the connection. One buffered reader over the
+// (byte-counting) connection serves the whole session: the handshake's gob
+// decoder reads through it without over-reading, so a v6 connection's
+// first binary frame starts exactly where the Hello ends.
 func (s *Server) handle(sc *srvConn) {
 	conn := sc.conn
+	br := bufio.NewReader(conn)
 	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return
 	}
 	enc := gob.NewEncoder(conn)
+	sc.enc = enc
 	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
 		refuse(conn, enc, ServerHello{Code: codeBadMagic, Version: ProtocolVersion})
 		return
 	}
-	if hdr[3] != ProtocolVersion && hdr[3] != versionV4 && hdr[3] != versionV3 && hdr[3] != versionV2 {
+	if hdr[3] < versionV2 || hdr[3] > ProtocolVersion {
 		refuse(conn, enc, ServerHello{
 			Code:    codeVersion,
-			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV2, versionV4, hdr[3]),
+			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV2, versionV5, hdr[3]),
 			Version: ProtocolVersion,
 		})
 		return
 	}
 	sc.version = hdr[3]
-	dec := gob.NewDecoder(conn)
+	dec := gob.NewDecoder(br)
 	var hello Hello
 	if err := dec.Decode(&hello); err != nil {
 		return
@@ -1121,24 +1166,32 @@ func (s *Server) handle(sc *srvConn) {
 		Features:     entry.Encoder.Features,
 		Seed:         entry.Encoder.Seed,
 	}
-	if sc.version >= ProtocolVersion {
+	if sc.version >= versionV5 {
 		accept.Shard = entry.Shard
 	}
 	if err := enc.Encode(accept); err != nil {
 		return
 	}
-	if sc.version >= ProtocolVersion {
-		// Install the drain notice now that the peer speaks v5 and the
-		// encoder owns the stream: a graceful shutdown pushes Reply{GoAway}
-		// (ID 0, never assigned) under writeMu before half-closing, so
+	if sc.version >= versionV5 {
+		// Install the drain notice now that the peer speaks v5+ and the
+		// handshake is done: a graceful shutdown pushes a GoAway reply (ID
+		// 0, never assigned) under writeMu before half-closing, so
 		// coordinators stop routing here ahead of the FIN.
 		sc.mu.Lock()
 		sc.goAway = func() {
 			sc.writeMu.Lock()
-			enc.Encode(Reply{GoAway: true})
+			if sc.version == ProtocolVersion {
+				conn.Write(goAwayFrame)
+			} else {
+				enc.Encode(Reply{GoAway: true})
+			}
 			sc.writeMu.Unlock()
 		}
 		sc.mu.Unlock()
+	}
+	if sc.version == ProtocolVersion {
+		s.serveFrames(sc, br, requestLimits(model.Dim(), s.maxBatch))
+		return
 	}
 
 	// v4 connections pipeline: each frame is answered on its own goroutine
@@ -1162,50 +1215,88 @@ func (s *Server) handle(sc *srvConn) {
 		decodeDur := time.Since(tRead)
 		if !sc.enterBusy() {
 			if sc.version >= versionV4 {
-				sc.drainRefused(dec)
+				sc.drainRefused(br)
 			}
 			return
 		}
+		f := &frame{req: req}
 		if sc.version >= versionV4 {
-			sem <- struct{}{}
-			sc.frames.Add(1)
-			s.wg.Add(1) // graceful shutdown waits for frames, not just conns
-			go func(req Request) {
-				defer s.wg.Done()
-				defer sc.frames.Done()
-				defer func() { <-sem }()
-				err := s.handleFrame(sc, enc, req, decodeDur)
-				closing := sc.exitBusy()
-				if err != nil {
-					sc.conn.Close()
-				} else if closing {
-					sc.gracefulClose()
-				}
-			}(req)
+			s.startFrame(sc, f, decodeDur, sem)
 			continue
 		}
-		err := s.handleFrame(sc, enc, req, decodeDur)
+		err := s.handleFrame(sc, f, decodeDur)
 		if sc.exitBusy() || err != nil {
 			return
 		}
 	}
 }
 
+// serveFrames is the v6 read loop: it decodes binary request frames from
+// the connection's shared reader into pooled frames, bounded by lim, and
+// answers each on its own goroutine exactly as v4/v5 frames are answered.
+// Typed frame violations are answered with their refusal; a truncated or
+// malformed frame ends the connection.
+func (s *Server) serveFrames(sc *srvConn, br *bufio.Reader, lim frameLimits) {
+	sem := make(chan struct{}, maxConnPipeline)
+	defer sc.frames.Wait()
+	for {
+		f := getFrame()
+		tRead := time.Now()
+		if err := readRequest(br, lim, f); err != nil {
+			putFrame(f)
+			return // EOF, broken or hostile peer, or shutdown closed the conn
+		}
+		decodeDur := time.Since(tRead)
+		if !sc.enterBusy() {
+			putFrame(f)
+			sc.drainRefused(br)
+			return
+		}
+		s.startFrame(sc, f, decodeDur, sem)
+	}
+}
+
+// startFrame answers one v4+ frame on its own goroutine, bounded by sem.
+// The goroutine owns f from here on and, for pooled v6 frames, returns it
+// to the pool once the reply is written.
+func (s *Server) startFrame(sc *srvConn, f *frame, decodeDur time.Duration, sem chan struct{}) {
+	sem <- struct{}{}
+	sc.frames.Add(1)
+	s.wg.Add(1) // graceful shutdown waits for frames, not just conns
+	go func() {
+		defer s.wg.Done()
+		defer sc.frames.Done()
+		defer func() { <-sem }()
+		err := s.handleFrame(sc, f, decodeDur)
+		if sc.version == ProtocolVersion {
+			putFrame(f)
+		}
+		closing := sc.exitBusy()
+		if err != nil {
+			sc.conn.Close()
+		} else if closing {
+			sc.gracefulClose()
+		}
+	}()
+}
+
 // handleFrame answers one decoded frame with full stage instrumentation:
 // trace resolution (the client's ID, or a server-side sampling decision
 // for requests arriving untraced), span timing through answer and the
 // reply write, the wire-reported StageTiming for traced requests, and the
-// flight-recorder/slow-log entry every frame produces. It returns the
-// reply-write error, which terminates the connection.
-func (s *Server) handleFrame(sc *srvConn, enc *gob.Encoder, req Request, decodeDur time.Duration) error {
+// flight-recorder/slow-log entry every frame produces. The reply is a
+// binary frame on v6 connections and a gob Reply on older ones. It returns
+// the reply-write error, which terminates the connection.
+func (s *Server) handleFrame(sc *srvConn, f *frame, decodeDur time.Duration) error {
 	start := time.Now()
+	req := &f.req
 	traceID := req.Trace
 	if traceID == 0 {
 		traceID = trace.Sampled()
 	}
 	span := trace.NewSpan(traceID)
 	span.Add(trace.StageDecode, decodeDur)
-	reply := s.answer(sc.model, req, span)
+	reply := s.answerFrame(sc.model, f, span)
 	reply.ID = req.ID
 	if traceID != 0 {
 		reply.Timing = &StageTiming{
@@ -1215,9 +1306,17 @@ func (s *Server) handleFrame(sc *srvConn, enc *gob.Encoder, req Request, decodeD
 		}
 	}
 	tWrite := time.Now()
-	sc.writeMu.Lock()
-	err := enc.Encode(reply)
-	sc.writeMu.Unlock()
+	var err error
+	if sc.version == ProtocolVersion {
+		f.out = appendReply(f.out[:0], &reply)
+		sc.writeMu.Lock()
+		_, err = sc.conn.Write(f.out)
+		sc.writeMu.Unlock()
+	} else {
+		sc.writeMu.Lock()
+		err = sc.enc.Encode(reply)
+		sc.writeMu.Unlock()
+	}
 	span.ObserveSince(trace.StageReplyWrite, tWrite)
 	s.record(sc, opLabel(req.Op), &reply, span, len(req.Queries), time.Since(start), err)
 	span.Free()
@@ -1266,14 +1365,22 @@ func (s *Server) record(sc *srvConn, op string, reply *Reply, span *trace.Span, 
 	}
 }
 
-// answer handles one request frame: classification against the current
-// publication of the connection's model, or a v4 control op. It is the
-// per-frame instrumentation point: in-flight gauge, per-op request counter
-// and latency histogram, and typed-rejection counters for refused frames —
-// every observation on the zero-alloc fast path. A traced frame (span
-// carrying a nonzero ID) additionally pins its trace ID as the latency
-// histogram's exemplar, so a scrape can name an actual slow request.
+// answer handles one request frame with freshly allocated answer storage.
 func (s *Server) answer(modelName string, req Request, span *trace.Span) Reply {
+	return s.answerFrame(modelName, &frame{req: req}, span)
+}
+
+// answerFrame handles one request frame: classification against the
+// current publication of the connection's model, a v4 control op, or the
+// typed refusal the v6 decoder already chose. Results are computed into
+// the frame's storage. It is the per-frame instrumentation point: in-flight
+// gauge, per-op request counter and latency histogram, and typed-rejection
+// counters for refused frames — every observation on the zero-alloc fast
+// path. A traced frame (span carrying a nonzero ID) additionally pins its
+// trace ID as the latency histogram's exemplar, so a scrape can name an
+// actual slow request.
+func (s *Server) answerFrame(modelName string, f *frame, span *trace.Span) Reply {
+	req := &f.req
 	mInflight.Inc()
 	start := time.Now()
 	// The frame's budget clock starts on arrival: the client stamped its
@@ -1284,14 +1391,16 @@ func (s *Server) answer(modelName string, req Request, span *trace.Span) Reply {
 		deadline = start.Add(time.Duration(req.BudgetNs))
 	}
 	var reply Reply
-	switch req.Op {
-	case OpClassify:
-		reply = s.answerClassify(modelName, req, span, deadline)
-	case OpListModels:
+	switch {
+	case f.refusal.Code != "":
+		reply = f.refusal
+	case req.Op == OpClassify:
+		reply = s.answerClassify(modelName, f, span, deadline)
+	case req.Op == OpListModels:
 		reply = s.answerListModels()
-	case OpPartialScores:
-		reply = s.answerPartialScores(modelName, req, span, deadline)
-	case OpPing:
+	case req.Op == OpPartialScores:
+		reply = s.answerPartialScores(modelName, f, span, deadline)
+	case req.Op == OpPing:
 		reply = Reply{}
 	default:
 		reply = Reply{Code: codeBadOp, Detail: fmt.Sprintf("op %q (this server speaks v%d)", req.Op, ProtocolVersion)}
@@ -1342,7 +1451,8 @@ func deadlineReply(budget int64) Reply {
 // time from the pool workers. A non-zero deadline sheds the frame instead
 // of scoring dead work: checked before dispatch (budget spent upstream)
 // and at every worker pickup (budget spent in the scoring queue).
-func (s *Server) answerClassify(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
+func (s *Server) answerClassify(modelName string, f *frame, span *trace.Span, deadline time.Time) Reply {
+	req := &f.req
 	// Resolve the name fresh per frame: a Swap between frames serves the
 	// new model from the next frame on, while this frame keeps the entry
 	// it resolved (the registry never mutates a published entry).
@@ -1378,19 +1488,17 @@ func (s *Server) answerClassify(modelName string, req Request, span *trace.Span,
 				Detail: fmt.Sprintf("query %d has dim %d, model dim %d", i, n, model.Dim())}
 		}
 	}
-	results := make([]Result, len(req.Queries))
-	var wg sync.WaitGroup
-	wg.Add(len(req.Queries))
 	enq := time.Now()
-	var expired atomic.Bool
 	if !deadline.IsZero() && enq.After(deadline) {
 		return deadlineReply(req.BudgetNs)
 	}
+	results := f.resultRows(len(req.Queries), model.NumClasses())
+	f.wg.Add(len(req.Queries))
 	for i, q := range req.Queries {
-		s.dispatch(task{model: model, scorer: entry.Scorer, query: q, out: &results[i], wg: &wg, enq: enq, span: span, deadline: deadline, expired: &expired})
+		s.dispatch(task{model: model, scorer: entry.Scorer, query: q, out: &results[i], wg: &f.wg, enq: enq, span: span, deadline: deadline, expired: &f.expired})
 	}
-	wg.Wait()
-	if expired.Load() {
+	f.wg.Wait()
+	if f.expired.Load() {
 		return deadlineReply(req.BudgetNs)
 	}
 	s.mu.Lock()
@@ -1408,7 +1516,8 @@ func (s *Server) answerClassify(modelName string, req Request, span *trace.Span,
 // answer exactly: a DP-noised model whose classes are not integer-valued,
 // or a request (ab)using full-precision vectors. Deadline budgets shed
 // exactly as in answerClassify.
-func (s *Server) answerPartialScores(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
+func (s *Server) answerPartialScores(modelName string, f *frame, span *trace.Span, deadline time.Time) Reply {
+	req := &f.req
 	s.startPool()
 	entry, err := s.reg.Lookup(modelName)
 	if err != nil {
@@ -1441,19 +1550,17 @@ func (s *Server) answerPartialScores(modelName string, req Request, span *trace.
 				Detail: fmt.Sprintf("query %d has dim %d, shard dim %d", i, len(q.Packed), model.Dim())}
 		}
 	}
-	partials := make([][]int64, len(req.Queries))
-	var wg sync.WaitGroup
-	wg.Add(len(req.Queries))
 	enq := time.Now()
-	var expired atomic.Bool
 	if !deadline.IsZero() && enq.After(deadline) {
 		return deadlineReply(req.BudgetNs)
 	}
+	partials := f.partialRows(len(req.Queries), scorer.NumClasses())
+	f.wg.Add(len(req.Queries))
 	for i, q := range req.Queries {
-		s.dispatch(task{model: model, scorer: scorer, query: q, partials: &partials[i], wg: &wg, enq: enq, span: span, deadline: deadline, expired: &expired})
+		s.dispatch(task{model: model, scorer: scorer, query: q, partials: partials[i], wg: &f.wg, enq: enq, span: span, deadline: deadline, expired: &f.expired})
 	}
-	wg.Wait()
-	if expired.Load() {
+	f.wg.Wait()
+	if f.expired.Load() {
 		return deadlineReply(req.BudgetNs)
 	}
 	s.mu.Lock()
@@ -1465,19 +1572,21 @@ func (s *Server) answerPartialScores(modelName string, req Request, span *trace.
 }
 
 // Client is the edge-side connection to a classification server. It speaks
-// protocol v4 and is safe for concurrent use: a dedicated send goroutine
-// serializes outgoing frames, a dedicated recv goroutine routes replies by
-// request ID through an in-flight table, and any number of goroutines may
-// pipeline Classify/ClassifyBatch calls over the one connection without
-// waiting on each other's round trips.
+// protocol v6 and is safe for concurrent use: callers encode their frames
+// on their own goroutines, a dedicated send goroutine writes them through
+// a buffered writer that flushes whenever its queue runs empty (so frames
+// pipelined back to back share syscalls), a dedicated recv goroutine
+// routes replies by request ID through an in-flight table, and any number
+// of goroutines may pipeline Classify/ClassifyBatch calls over the one
+// connection without waiting on each other's round trips.
 type Client struct {
 	conn      net.Conn
 	hello     ServerHello
 	ioTimeout time.Duration
 	peer      string // remote address, cached for trace entries
 
-	enc *gob.Encoder // owned by sendLoop after the handshake
-	dec *gob.Decoder // owned by recvLoop after the handshake
+	bw *bufio.Writer // owned by sendLoop after the handshake
+	rr replyReader   // owned by recvLoop after the handshake
 
 	sendCh chan *pending
 	broken chan struct{} // closed on the first transport failure (or Close)
@@ -1493,17 +1602,24 @@ type Client struct {
 	err      error // sticky transport error; set once, before broken closes
 }
 
-// pending is one in-flight request: the frame to send and the slot its
-// routed reply (or the connection's terminal error) lands in. Sampled
-// requests additionally carry their client-side trace state: the submit
-// time and the send-queue wait, stamped by the send goroutine (atomically,
-// because the recv goroutine reads it with no other synchronization
-// between the two).
+// pending is one in-flight request: its header fields (req carries no
+// Queries — nq counts them), the encoded frame to send and the slot its
+// routed reply (or the connection's terminal error) lands in; one and
+// timing hold a single-query reply's result and a traced reply's timing
+// without further allocation. Sampled requests additionally carry their
+// client-side trace state: the submit time and the send-queue wait,
+// stamped by the send goroutine (atomically, because the recv goroutine
+// reads it with no other synchronization between the two).
 type pending struct {
-	req   Request
-	reply Reply
-	err   error
-	done  chan struct{}
+	req    Request
+	nq     int
+	frame  *[]byte // from frameBufs; the send goroutine returns it
+	reply  Reply
+	one    [1]Result
+	scores []float64
+	timing StageTiming
+	err    error
+	done   chan struct{}
 
 	traceID uint64
 	submitT time.Time
@@ -1583,7 +1699,7 @@ func Dial(ctx context.Context, network, addr string, hello Hello, opts ...Client
 // error wraps ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel or
 // ErrBadMagic; handshake i/o failures wrap ErrTransport.
 func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error) {
-	c := &Client{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}
+	c := &Client{conn: conn, bw: bufio.NewWriter(conn), rr: replyReader{r: bufio.NewReader(conn)}}
 	if ra := conn.RemoteAddr(); ra != nil {
 		c.peer = ra.String()
 	}
@@ -1592,9 +1708,9 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 	}
 	// The header and the Hello leave in one write, so a server refusing
 	// on the header alone finds the whole handshake already received
-	// instead of a second segment racing its close. The Hello goes
-	// through its own encoder: the data-plane encoder never sends the
-	// Hello type, so the server decodes both as one gob stream.
+	// instead of a second segment racing its close. The ServerHello is
+	// read through the reply reader, so nothing past it is consumed before
+	// the first binary reply frame.
 	var buf bytes.Buffer
 	buf.Write([]byte{magic[0], magic[1], magic[2], ProtocolVersion})
 	if err := gob.NewEncoder(&buf).Encode(hello); err != nil {
@@ -1604,7 +1720,7 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 	// Read the answer even when the write failed: a server refusing the
 	// handshake (overload, bad magic, version) may have closed before
 	// taking all our bytes, and its typed refusal must win over EPIPE.
-	if err := c.dec.Decode(&c.hello); err != nil {
+	if err := gob.NewDecoder(c.rr.r).Decode(&c.hello); err != nil {
 		if werr != nil {
 			err = werr
 		}
@@ -1620,6 +1736,7 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 	if werr != nil {
 		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, werr)
 	}
+	c.rr.maxBody = replyLimit(c.hello)
 	c.sendCh = make(chan *pending, 16)
 	c.broken = make(chan struct{})
 	c.inflight = make(map[uint64]*pending)
@@ -1646,15 +1763,15 @@ func stampBudget(ctx context.Context, req *Request) error {
 	return nil
 }
 
-// submit stamps the caller's deadline budget onto the request (no-op for
-// contexts without a deadline), assigns it an ID, registers it in the
-// in-flight table and hands it to the send goroutine. The caller waits on
-// the returned pending.
-func (c *Client) submit(ctx context.Context, req Request) (*pending, error) {
-	if err := stampBudget(ctx, &req); err != nil {
-		return nil, err
+// begin starts a request of nq queries: it stamps the caller's deadline
+// budget (no-op for contexts without a deadline), makes the sampling
+// decision and encodes the frame header into a pooled buffer. The caller
+// appends the queries to the returned bytes and passes them to submit.
+func begin(ctx context.Context, op string, nq int) (*pending, []byte, error) {
+	p := &pending{req: Request{Op: op}, nq: nq, done: make(chan struct{})}
+	if err := stampBudget(ctx, &p.req); err != nil {
+		return nil, nil, err
 	}
-	p := &pending{req: req, done: make(chan struct{})}
 	// The sampling decision for the whole request path lives here, so
 	// every client topology traces without any API of its own; the
 	// ID crosses the wire on the frame. Unsampled requests pay one atomic
@@ -1664,14 +1781,25 @@ func (c *Client) submit(ctx context.Context, req Request) (*pending, error) {
 		p.req.Trace = id
 		p.submitT = time.Now()
 	}
+	p.frame = frameBufs.Get().(*[]byte)
+	return p, appendRequestHeader((*p.frame)[:0], &p.req, nq), nil
+}
+
+// submit finishes the frame in b, assigns the request its ID, registers it
+// in the in-flight table and hands it to the send goroutine. The caller
+// waits on the pending.
+func (c *Client) submit(p *pending, b []byte) error {
+	finishFrame(b)
+	*p.frame = b
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
 	c.nextID++
 	p.req.ID = c.nextID
+	setFrameID(b, p.req.ID)
 	c.inflight[p.req.ID] = p
 	// Arm the read deadline on the idle→busy transition; SetReadDeadline
 	// interrupts the recv goroutine's current blocked Read too, so a
@@ -1682,9 +1810,9 @@ func (c *Client) submit(ctx context.Context, req Request) (*pending, error) {
 	c.mu.Unlock()
 	select {
 	case c.sendCh <- p:
-		return p, nil
+		return nil
 	case <-c.broken:
-		return nil, c.stickyErr()
+		return c.stickyErr()
 	}
 }
 
@@ -1715,7 +1843,11 @@ func (p *pending) wait(ctx context.Context) (Reply, error) {
 }
 
 // sendLoop is the dedicated writer: it serializes every outgoing frame
-// onto the connection so concurrent callers never interleave encodings.
+// onto the connection so concurrent callers never interleave frames. It
+// flushes only when no further frame is queued, so a burst of pipelined
+// frames leaves in as few writes as the buffer allows. It is each frame
+// buffer's last user and returns it to the pool once the bytes are
+// buffered or written.
 func (c *Client) sendLoop() {
 	for {
 		select {
@@ -1723,14 +1855,19 @@ func (c *Client) sendLoop() {
 			if c.ioTimeout > 0 {
 				c.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 			}
-			if err := c.enc.Encode(p.req); err != nil {
+			_, err := c.bw.Write(*p.frame)
+			frameBufs.Put(p.frame)
+			if err == nil && len(c.sendCh) == 0 {
+				err = c.bw.Flush()
+			}
+			if err != nil {
 				c.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
 				return
 			}
 			if p.traceID != 0 {
-				// Everything up to here — waiting behind other frames on
-				// the send queue plus this frame's own encode — is the
-				// client's queue stage.
+				// Everything up to here — this frame's own encode,
+				// waiting behind other frames on the send queue, and its
+				// write — is the client's queue stage.
 				p.queueNs.Store(int64(time.Since(p.submitT)))
 			}
 		case <-c.broken:
@@ -1742,24 +1879,25 @@ func (c *Client) sendLoop() {
 // recvLoop is the dedicated reader: it decodes replies as the server
 // produces them — in any order — and routes each to its in-flight request
 // by ID. Reply progress re-arms the read deadline; draining the table
-// disarms it so idle connections never time out.
+// disarms it so idle connections never time out. A reply frame cut short
+// or inconsistent with its own length ends the connection.
 func (c *Client) recvLoop() {
 	for {
-		var reply Reply
-		if err := c.dec.Decode(&reply); err != nil {
+		kind, flags, id, body, started, err := c.rr.next()
+		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				c.mu.Lock()
 				n := len(c.inflight)
-				if n == 0 {
+				if n == 0 && !started {
 					// A deadline that expired as the table drained (or a
-					// leftover dial deadline): nothing was owed to us, and
-					// the server sends nothing unsolicited, so the stream
-					// is still at a frame boundary. Disarm and keep going.
+					// leftover dial deadline) between frames: nothing was
+					// owed to us, so the stream is still at a frame
+					// boundary. Disarm and keep going.
 					c.conn.SetReadDeadline(time.Time{})
 				}
 				c.mu.Unlock()
-				if n == 0 {
+				if n == 0 && !started {
 					continue
 				}
 				c.fail(fmt.Errorf("%w: %w: no reply for %v with %d requests in flight",
@@ -1773,7 +1911,7 @@ func (c *Client) recvLoop() {
 			}
 			return
 		}
-		if reply.GoAway {
+		if flags&repGoAway != 0 {
 			// Unsolicited server-push drain notice (ID 0, never assigned):
 			// not a routed reply, so it must be intercepted before the
 			// in-flight lookup treats its ID as unknown and kills the
@@ -1782,9 +1920,9 @@ func (c *Client) recvLoop() {
 			continue
 		}
 		c.mu.Lock()
-		p, ok := c.inflight[reply.ID]
+		p, ok := c.inflight[id]
 		if ok {
-			delete(c.inflight, reply.ID)
+			delete(c.inflight, id)
 		}
 		if c.ioTimeout > 0 {
 			if len(c.inflight) == 0 {
@@ -1795,12 +1933,18 @@ func (c *Client) recvLoop() {
 		}
 		c.mu.Unlock()
 		if !ok {
-			c.fail(fmt.Errorf("%w: server answered unknown request id %d", ErrTransport, reply.ID))
+			c.fail(fmt.Errorf("%w: server answered unknown request id %d", ErrTransport, id))
 			return
 		}
-		p.reply = reply
+		if err := decodeReply(kind, flags, body, p); err != nil {
+			p.err = fmt.Errorf("%w: reply %d: %v", ErrTransport, id, err)
+			close(p.done)
+			c.fail(p.err)
+			return
+		}
+		p.reply.ID = id
 		if p.traceID != 0 {
-			c.finishTrace(p, &reply)
+			c.finishTrace(p, &p.reply)
 		}
 		close(p.done)
 	}
@@ -1834,7 +1978,7 @@ func (c *Client) finishTrace(p *pending, reply *Reply) {
 		Op:      opLabel(p.req.Op),
 		Peer:    c.peer,
 		Outcome: outcome,
-		Queries: len(p.req.Queries),
+		Queries: p.nq,
 		TotalNs: int64(total),
 		Local: trace.Breakdown{
 			QueueNs:   int64(queue),
@@ -1873,7 +2017,7 @@ func (c *Client) fail(err error) {
 				Op:      opLabel(p.req.Op),
 				Peer:    c.peer,
 				Outcome: "transport",
-				Queries: len(p.req.Queries),
+				Queries: p.nq,
 				TotalNs: int64(time.Since(p.submitT)),
 				Local:   trace.Breakdown{QueueNs: p.queueNs.Load()},
 			})
@@ -1951,19 +2095,29 @@ func (c *Client) ModelVersion() int { return c.hello.ModelVersion }
 func (c *Client) ServerHello() ServerHello { return c.hello }
 
 // Classify sends one prepared (already obfuscated) query and returns the
-// predicted label and scores. Quantized queries automatically take the
-// compact one-byte-per-dimension wire form. The remaining deadline of ctx
-// is stamped onto the frame as the request budget (BudgetNs) so the server
-// can shed it once expired, and the wait aborts with the typed
+// predicted label and scores. Quantized queries are packed straight into
+// the 2-bit wire form. The remaining deadline of ctx is stamped onto the
+// frame as the request budget (BudgetNs) so the server can shed it once
+// expired, and the wait aborts with the typed
 // ErrDeadlineExceeded (deadline) or an ErrTransport-wrapped error (plain
 // cancellation, e.g. a hedged attempt losing its race). A deadline-free
 // ctx stamps nothing and waits for the reply.
 func (c *Client) Classify(ctx context.Context, prepared []float64) (int, []float64, error) {
-	results, err := c.roundTrip(ctx, [][]float64{prepared})
+	p, b, err := begin(ctx, OpClassify, 1)
 	if err != nil {
 		return 0, nil, err
 	}
-	return results[0].Label, results[0].Scores, nil
+	if err := c.submit(p, appendFloatQuery(b, prepared)); err != nil {
+		return 0, nil, err
+	}
+	reply, err := p.wait(ctx)
+	if err == nil {
+		err = replyError(reply, p.nq)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return reply.Results[0].Label, reply.Results[0].Scores, nil
 }
 
 // Labels extracts the predicted labels from classification results.
@@ -2006,7 +2160,7 @@ func (c *Client) ClassifyBatchScores(ctx context.Context, prepared [][]float64) 
 		if end > len(prepared) {
 			end = len(prepared)
 		}
-		p, err := c.submit(ctx, classifyRequest(prepared[start:end]))
+		p, err := c.classifyFrame(ctx, prepared[start:end])
 		if err != nil {
 			submitErr = fmt.Errorf("offload: batch at query %d: %w", start, err)
 			break
@@ -2017,7 +2171,7 @@ func (c *Client) ClassifyBatchScores(ctx context.Context, prepared [][]float64) 
 	for _, cp := range pendings {
 		reply, err := cp.p.wait(ctx)
 		if err == nil {
-			err = replyError(reply, cp.p.req)
+			err = replyError(reply, cp.p.nq)
 		}
 		if err != nil {
 			return out, fmt.Errorf("offload: batch at query %d: %w", cp.start, err)
@@ -2031,7 +2185,7 @@ func (c *Client) ClassifyBatchScores(ctx context.Context, prepared [][]float64) 
 // served model's name, version, geometry and public encoder setup — so a
 // client can discover models without out-of-band configuration (v4).
 func (c *Client) ListModels(ctx context.Context) ([]ModelListing, error) {
-	p, err := c.submit(ctx, Request{Op: OpListModels})
+	p, err := c.control(ctx, OpListModels)
 	if err != nil {
 		return nil, err
 	}
@@ -2054,12 +2208,19 @@ func (c *Client) ListModels(ctx context.Context) ([]ModelListing, error) {
 // carries the remaining budget of ctx and the wait aborts on expiry or
 // cancellation.
 func (c *Client) PartialScores(ctx context.Context, packed [][]int8) ([][]int64, []float64, error) {
-	req := Request{Op: OpPartialScores, Queries: make([]Query, len(packed))}
-	for i, q := range packed {
-		req.Queries[i] = Query{Packed: q}
-	}
-	p, err := c.submit(ctx, req)
+	p, b, err := begin(ctx, OpPartialScores, len(packed))
 	if err != nil {
+		return nil, nil, err
+	}
+	for i, q := range packed {
+		var bad int
+		if b, bad = appendPackedQuery(b, q); bad >= 0 {
+			frameBufs.Put(p.frame)
+			return nil, nil, fmt.Errorf("%w: query %d dimension %d carries symbol %d, alphabet is [%d,%d]",
+				ErrSymbolOutOfRange, i, bad, q[bad], MinSymbol, MaxSymbol)
+		}
+	}
+	if err := c.submit(p, b); err != nil {
 		return nil, nil, err
 	}
 	reply, err := p.wait(ctx)
@@ -2076,46 +2237,38 @@ func (c *Client) PartialScores(ctx context.Context, packed [][]int8) ([][]int64,
 	return reply.Partials, reply.NormSq, nil
 }
 
-// classifyRequest builds one classification frame, packing quantized
-// queries into the compact wire form.
-func classifyRequest(prepared [][]float64) Request {
-	req := Request{Queries: make([]Query, len(prepared))}
-	for i, v := range prepared {
-		if packed, ok := PackQuery(v); ok {
-			req.Queries[i] = Query{Packed: packed}
-		} else {
-			req.Queries[i] = Query{Vector: v}
-		}
+// classifyFrame submits one classification frame, packing quantized
+// queries into the 2-bit wire form.
+func (c *Client) classifyFrame(ctx context.Context, prepared [][]float64) (*pending, error) {
+	p, b, err := begin(ctx, OpClassify, len(prepared))
+	if err != nil {
+		return nil, err
 	}
-	return req
+	for _, v := range prepared {
+		b = appendFloatQuery(b, v)
+	}
+	return p, c.submit(p, b)
 }
 
-// replyError converts a routed reply into the request's outcome.
-func replyError(reply Reply, req Request) error {
+// control submits a query-less control frame.
+func (c *Client) control(ctx context.Context, op string) (*pending, error) {
+	p, b, err := begin(ctx, op, 0)
+	if err != nil {
+		return nil, err
+	}
+	return p, c.submit(p, b)
+}
+
+// replyError converts a routed reply into the outcome of a request of nq
+// queries.
+func replyError(reply Reply, nq int) error {
 	if reply.Code != "" {
 		return codeError(reply.Code, reply.Detail)
 	}
-	if len(reply.Results) != len(req.Queries) {
-		return fmt.Errorf("offload: server answered %d of %d queries",
-			len(reply.Results), len(req.Queries))
+	if len(reply.Results) != nq {
+		return fmt.Errorf("offload: server answered %d of %d queries", len(reply.Results), nq)
 	}
 	return nil
-}
-
-// roundTrip pipelines one Request frame and waits for its Reply.
-func (c *Client) roundTrip(ctx context.Context, prepared [][]float64) ([]Result, error) {
-	p, err := c.submit(ctx, classifyRequest(prepared))
-	if err != nil {
-		return nil, err
-	}
-	reply, err := p.wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := replyError(reply, p.req); err != nil {
-		return nil, err
-	}
-	return reply.Results, nil
 }
 
 // Ping round-trips an empty in-band OpPing frame: proof the peer's serve
@@ -2125,7 +2278,7 @@ func (c *Client) roundTrip(ctx context.Context, prepared [][]float64) ([]Result,
 // (ErrUnsupportedOp) — it decoded the frame and answered, which proves
 // liveness just as well, so that rejection also counts as success.
 func (c *Client) Ping(ctx context.Context) error {
-	p, err := c.submit(ctx, Request{Op: OpPing})
+	p, err := c.control(ctx, OpPing)
 	if err != nil {
 		return err
 	}
@@ -2179,9 +2332,9 @@ func (w *Wiretap) record(v []float64) {
 }
 
 // tappedConn duplicates decoded traffic to the wiretap. Interception
-// happens at the message layer (header skip + gob re-decode) rather than
-// raw bytes: the eavesdropper knows the protocol, as any network observer
-// of a published schema would.
+// happens at the message layer (header skip, gob Hello, then v6 request
+// frames) rather than raw bytes: the eavesdropper knows the protocol, as
+// any network observer of a published schema would.
 type tappedConn struct {
 	net.Conn
 	tap *Wiretap
@@ -2189,38 +2342,53 @@ type tappedConn struct {
 	pw  *io.PipeWriter
 }
 
+// tapMaxBody bounds the request frames a wiretap decodes. The tap sees
+// only the client's side of the handshake, so it cannot derive the bound
+// from the served geometry the way the server does.
+const tapMaxBody = 1 << 28
+
 // Tap wraps conn so every Query written through it is also recorded by the
-// returned Wiretap.
+// returned Wiretap. The tap decodes protocol-v6 traffic. Once it meets
+// anything it cannot decode it stops recording, and the read end of its
+// mirror pipe is closed, so writes to the real connection never block on
+// a dead tap.
 func Tap(conn net.Conn) (net.Conn, *Wiretap) {
 	tap := &Wiretap{}
 	pr, pw := io.Pipe()
 	t := &tappedConn{Conn: conn, tap: tap, pr: pr, pw: pw}
 	go func() {
-		var hdr [4]byte
-		if _, err := io.ReadFull(pr, hdr[:]); err != nil {
-			return
-		}
-		dec := gob.NewDecoder(pr)
-		var hello Hello
-		if err := dec.Decode(&hello); err != nil {
-			return
-		}
-		// Expand packed queries through one pooled scratch buffer for the
-		// life of the tap (record copies what it keeps) instead of
-		// allocating a fresh float64 vector per observed query.
-		buf := vecScratch.Get().(*[]float64)
-		defer vecScratch.Put(buf)
-		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			for _, q := range req.Queries {
-				tap.record(q.vectorInto(buf))
-			}
-		}
+		pr.CloseWithError(tap.follow(pr))
 	}()
 	return t, tap
+}
+
+// follow decodes the client's side of a session from r, recording every
+// query, until the stream ends or stops decoding; it returns why.
+func (w *Wiretap) follow(r io.Reader) error {
+	br := bufio.NewReader(r)
+	var hdr [4]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return err
+	}
+	var hello Hello
+	if err := gob.NewDecoder(br).Decode(&hello); err != nil {
+		return err
+	}
+	// Expand packed queries through one pooled scratch buffer for the
+	// life of the tap (record copies what it keeps) instead of
+	// allocating a fresh float64 vector per observed query.
+	buf := vecScratch.Get().(*[]float64)
+	defer vecScratch.Put(buf)
+	lim := frameLimits{maxBatch: math.MaxInt32, maxBody: tapMaxBody}
+	var f frame
+	for {
+		if err := readRequest(br, lim, &f); err != nil {
+			return err
+		}
+		for _, q := range f.req.Queries {
+			w.record(q.vectorInto(buf))
+		}
+	}
 }
 
 // Write forwards to the real connection and mirrors bytes into the

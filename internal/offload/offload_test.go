@@ -199,7 +199,7 @@ func TestServerRejectsOutOfAlphabetSymbols(t *testing.T) {
 	defer cleanup()
 	// Craft a request whose packed symbols escape the advertised −2…+1
 	// alphabet; an honest PackQuery would refuse to build it.
-	_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4, Classes: 2})
+	_, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4, Classes: 2})
 	if err := enc.Encode(Request{Queries: []Query{{Packed: []int8{5, 0, 0, 0}}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 		}
 	}
 	// A misbehaving client that ignores the limit is rejected.
-	_, renc, rdec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	_, renc, rdec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	req := Request{Queries: make([]Query, 3)}
 	for i := range req.Queries {
 		req.Queries[i] = Query{Vector: []float64{1, 0, 0, 0}}
@@ -998,7 +998,7 @@ func TestMalformedQueryWithBothWireFormsRejected(t *testing.T) {
 	// with (see TestServerAbusedQueryBothFields for the accepted case).
 	addr, srv, cleanup := startServer(t, labelModel(0))
 	defer cleanup()
-	_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	_, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	// len(Vector)+len(Packed) == model dim, but the effective (Vector)
 	// length is 2: must be rejected, and the server must survive.
 	if err := enc.Encode(Request{Queries: []Query{{Vector: []float64{1, 1}, Packed: []int8{0, 0}}}}); err != nil {
@@ -1116,7 +1116,7 @@ func TestPipelinedRepliesOutOfOrder(t *testing.T) {
 
 	sawOutOfOrder := false
 	for attempt := 0; attempt < 5 && !sawOutOfOrder; attempt++ {
-		_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: dim})
+		_, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: dim})
 		if err := enc.Encode(heavy); err != nil {
 			t.Fatal(err)
 		}
@@ -1236,7 +1236,7 @@ func TestListModels(t *testing.T) {
 func TestUnsupportedOpRejected(t *testing.T) {
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	_, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	if err := enc.Encode(Request{ID: 9, Op: "compress"}); err != nil {
 		t.Fatal(err)
 	}
@@ -1281,9 +1281,7 @@ func TestIOTimeoutUnblocksHungServer(t *testing.T) {
 			MaxBatch: 8, MinSymbol: MinSymbol, MaxSymbol: MaxSymbol,
 		})
 		// Keep reading requests, never answer.
-		var req Request
-		for dec.Decode(&req) == nil {
-		}
+		io.Copy(io.Discard, conn)
 	}()
 
 	c, err := Dial(context.Background(), "tcp", lis.Addr().String(), Hello{Dim: 4},
@@ -1519,7 +1517,7 @@ func TestShutdownBoundedByIdlePeerThatNeverCloses(t *testing.T) {
 	// FIN: Shutdown must not block until its ctx expires — the half-close
 	// arms a read deadline that unpins the idle handler.
 	addr, srv, _ := startServer(t, toyModel())
-	conn, _, _ := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, _, _ := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	_ = conn // held open, never closed, never written to again
 
 	start := time.Now()

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -52,31 +53,32 @@ func TestTracedClientAgainstPreTraceServer(t *testing.T) {
 				return err
 			}
 			defer conn.Close()
+			br := bufio.NewReader(conn)
 			var hdr [4]byte
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
 				return err
 			}
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
 			var hello Hello
-			if err := dec.Decode(&hello); err != nil {
+			if err := gob.NewDecoder(br).Decode(&hello); err != nil {
 				return err
 			}
-			if err := enc.Encode(ServerHello{
+			if err := gob.NewEncoder(conn).Encode(ServerHello{
 				Version: ProtocolVersion, Dim: 4, Classes: 2,
 				MaxBatch: DefaultMaxBatch, MinSymbol: -2, MaxSymbol: 1,
 			}); err != nil {
 				return err
 			}
-			// The pre-trace decoder: any Trace field on the wire is dropped.
-			var req preTraceRequest
-			if err := dec.Decode(&req); err != nil {
+			// The pre-trace server: the frame's Trace is ignored and the
+			// reply carries no Timing.
+			var f frame
+			if err := readRequest(br, requestLimits(4, DefaultMaxBatch), &f); err != nil {
 				return err
 			}
-			return enc.Encode(preTraceReply{
-				ID:      req.ID,
+			_, err = conn.Write(appendReply(nil, &Reply{
+				ID:      f.req.ID,
 				Results: []Result{{Label: 1, Scores: []float64{0, 1}}},
-			})
+			}))
+			return err
 		}()
 	}()
 
@@ -128,7 +130,7 @@ func TestPreTraceClientAgainstTracingServer(t *testing.T) {
 
 	addr, _, cleanup := startServer(t, labelModel(1))
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	defer conn.Close()
 	for i := uint64(1); i <= 3; i++ {
 		if err := enc.Encode(preTraceRequest{ID: i, Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
@@ -153,7 +155,7 @@ func TestTracedRequestGetsTimingUntracedDoesNot(t *testing.T) {
 
 	addr, _, cleanup := startServer(t, labelModel(1))
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	defer conn.Close()
 
 	if err := enc.Encode(Request{ID: 1, Trace: 0xabcdef, Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {

@@ -350,7 +350,7 @@ func TestPartialScoresRefusesVectorQueries(t *testing.T) {
 	// silently rounded.
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, versionV5, Hello{Dim: 4})
 	defer conn.Close()
 	if err := enc.Encode(Request{ID: 1, Op: OpPartialScores,
 		Queries: []Query{{Vector: []float64{0.5, 0.5, 0, 0}}}}); err != nil {
