@@ -1,7 +1,8 @@
 // Command privehd-serve is the cloud side of the §III-C offloaded
 // inference demo: it serves one or many models over TCP with the versioned
-// privehd protocol (v3: clients pick a model by name in the handshake and
-// can auto-configure their edge from the answer). Pair it with `privehd
+// privehd protocol (v6, with v5 peers still accepted: clients pick a model
+// by name in the handshake and can auto-configure their edge from the
+// answer). Pair it with `privehd
 // infer`, examples/cloud_inference, or any privehd.Connect client.
 // SIGINT/SIGTERM trigger a graceful shutdown that finishes in-flight
 // requests.
@@ -136,7 +137,7 @@ func main() {
 		"workload to train a model on when no -model is given: "+strings.Join(privehd.DatasetNames(), ", "))
 	dim := flag.Int("dim", 10000, "hypervector dimensionality (self-trained model)")
 	levels := flag.Int("levels", 100, "feature quantization levels (self-trained model)")
-	seed := flag.Uint64("seed", 1, "random seed (v3 clients auto-configure; manual edges must match)")
+	seed := flag.Uint64("seed", 1, "random seed (auto-configuring clients read it from the handshake; manual edges must match)")
 	small := flag.Bool("small", false, "train on the small dataset scale")
 	maxBatch := flag.Int("max-batch", 256, "largest query batch accepted per request")
 	workers := flag.Int("workers", 0,

@@ -33,39 +33,34 @@
 // their raw bits, so v6 answers are bit-identical to v5 answers at about a
 // third of the bytes and without gob's reflection on any served
 // prediction (the frame layout is in the internal/offload package
-// documentation). v2–v5 frames are gob messages, each version a strict
-// field superset of the last, and a v6 server still answers those peers
-// byte for byte — so servers upgrade first:
+// documentation). A server accepts exactly two versions: v6, and v5,
+// whose frames are gob messages carrying the same fields:
 //
-//	v2: Hello{Dim,Classes}         Request{Queries}             Reply{Code,Detail,Results}
-//	v3: Hello{…,Model}             Request{Queries}             Reply{…}               (+ encoder setup in ServerHello)
-//	v4: Hello{…,Model}             Request{ID,Op,Queries,Trace} Reply{ID,…,Models,Timing}
-//	v5: Hello{…,Model}             Request{…,BudgetNs}          Reply{…,Partials,NormSq,GoAway} (+ Shard in ServerHello)
-//	v6: Hello{…,Model}             binary request frame         binary reply frame
+//	v5: Hello{Dim,Classes,Model}   Request{ID,Op,Queries,Trace,BudgetNs} Reply{ID,Code,Detail,Results,Models,Timing,Partials,NormSq,GoAway}
+//	v6: Hello{Dim,Classes,Model}   binary request frame                  binary reply frame
+//
+// Any other version byte, the retired v2–v4 included, is refused at the
+// handshake with the typed ErrVersionMismatch, as is a v6 client meeting
+// an older server; neither is retried.
 //
 // Trace and Timing are the optional end-to-end tracing fields: a sampled
 // request carries a 64-bit trace ID to the server and gets its
 // server-side stage timing (queue, scoring, total residency) back on the
-// reply. Both are gob-omitted when zero, so untraced frames stay
-// byte-identical to pre-trace v4 frames, and peers that predate the
-// fields drop them silently (gob's field-superset rule) — no version
-// bump was needed. v5 adds the sharded-serving surface on the same
-// superset rule: the ServerHello carries the replica's shard descriptor
-// when it serves a slice of a larger model, Op("partial-scores") returns
-// exact integer partial dot products plus class norm squares for packed
-// queries, and a draining v5 server pushes one Reply{ID:0, GoAway:true}
-// frame before half-closing, so clients stop submitting to it before the
-// FIN arrives. A v6 client meeting an older server surfaces the typed
-// ErrVersionMismatch refusal rather than retrying.
+// reply; untraced frames carry neither. The sharded-serving surface rides
+// the same protocol: the ServerHello carries the replica's shard
+// descriptor when it serves a slice of a larger model, Op("partial-scores")
+// returns exact integer partial dot products plus class norm squares for
+// packed queries, and a draining server pushes one GoAway reply (ID 0)
+// before half-closing, so clients stop submitting to it before the FIN
+// arrives.
 //
-// v4's per-request IDs make connections pipelined: requests from any
-// number of goroutines interleave over one connection through dedicated
-// send/recv goroutines and replies may return out of order, matched by ID
-// — so one connection is safe for concurrent use, large batches cost one
-// round trip, and Op("list-models") discovers the served registry over the
-// wire (Client.ListModels). v2/v3 clients are still served strictly in
-// order. WithPoolIOTimeout bounds reply progress (30s by default) so a
-// hung server cannot block a Predict forever. The client side pairs
+// Per-request IDs make connections pipelined: requests from any number of
+// goroutines interleave over one connection through dedicated send/recv
+// goroutines and replies may return out of order, matched by ID — so one
+// connection is safe for concurrent use, large batches cost one round
+// trip, and Op("list-models") discovers the served registry over the wire
+// (Client.ListModels). WithPoolIOTimeout bounds reply progress (30s by
+// default) so a hung server cannot block a Predict forever. The client side pairs
 // connections with a
 // Pipeline.Edge — the on-device obfuscator (1-bit quantization plus
 // WithQueryMask dimension masking) whose output is all that ever crosses

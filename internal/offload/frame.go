@@ -404,7 +404,7 @@ func readBody(r io.Reader, buf *[]byte, n int) ([]byte, error) {
 	return body, nil
 }
 
-// frame is one v6 request frame's working set on the server: the decoded
+// frame is one request frame's working set on the server: the decoded
 // request, the buffers its queries alias, the storage its answer is
 // computed into, and the encoded reply. Frames are pooled. A frame has one
 // owner at a time: the connection's read loop takes it from the pool and

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -459,7 +460,8 @@ func v5Query(q []float64) Query {
 func TestV6ScoresBitIdenticalToV5(t *testing.T) {
 	// One server, a byte-faithful v5 gob session and a v6 client: every
 	// query shape must come back with bit-identical scores, on plain and
-	// DP-noised models, at dims that do and do not fill whole bytes.
+	// DP-noised models, at dims that do and do not fill whole bytes, and
+	// both must list the same models.
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range []int{4, 10, 2048} {
 		for _, noised := range []bool{false, true} {
@@ -494,6 +496,24 @@ func TestV6ScoresBitIdenticalToV5(t *testing.T) {
 						}
 					}
 				}
+			}
+			id++
+			if err := enc.Encode(Request{ID: id, Op: OpListModels}); err != nil {
+				t.Fatal(err)
+			}
+			var old Reply
+			if err := dec.Decode(&old); err != nil || old.Code != "" || old.ID != id {
+				t.Fatalf("%s: v5 list-models: %v, reply %+v", name, err, old)
+			}
+			models, err := c.ListModels(context.Background())
+			if err != nil {
+				t.Fatalf("%s: v6 list-models: %v", name, err)
+			}
+			if len(models) != 1 || models[0].Name != DefaultModelName || models[0].Dim != dim {
+				t.Errorf("%s: v6 listing %+v", name, models)
+			}
+			if !reflect.DeepEqual(models, old.Models) {
+				t.Errorf("%s: v6 listing %+v, v5 listing %+v", name, models, old.Models)
 			}
 			c.Close()
 			cleanup()

@@ -8,17 +8,17 @@
 //
 // A connection opens with a fixed 4-byte header from the client — the magic
 // bytes "PHD" plus one protocol version byte — followed by a gob-encoded
-// Hello advertising the client's encoder geometry and, since v3, the name
-// of the model it wants served (empty = the registry default). The server
-// answers with a gob-encoded ServerHello that either accepts — echoing the
+// Hello advertising the client's encoder geometry and the name of the
+// model it wants served (empty = the registry default). The server answers
+// with a gob-encoded ServerHello that either accepts — echoing the
 // resolved model's name, publication version, geometry, batch limit,
-// packed-symbol alphabet and, since v3, the model's full public encoder
-// setup (encoding, levels, seed, features) so edges can auto-configure
-// instead of matching flags by hand — or rejects with a typed code: peers
-// with a mismatched version or geometry, or naming an unknown model, are
-// refused at the handshake instead of decoding garbage mid-stream.
+// packed-symbol alphabet and the model's full public encoder setup
+// (encoding, levels, seed, features) so edges can auto-configure instead
+// of matching flags by hand — or rejects with a typed code: peers with a
+// mismatched version or geometry, or naming an unknown model, are refused
+// at the handshake instead of decoding garbage mid-stream.
 //
-// Since v5 the accepted ServerHello may also carry a shard descriptor
+// The accepted ServerHello may also carry a shard descriptor
 // (Shard): when the served entry holds only a slice of a larger logical
 // model — a dimension range and/or class range — the descriptor names the
 // slice and the full geometry, so scatter–gather coordinators discover
@@ -66,16 +66,13 @@
 // short, or inconsistent with its own length, ends the connection; clients
 // see ErrTransport.
 //
-// Version 6 changes only the data plane, so upgrades go server first: a v6
-// server still answers v2–v5 peers with the gob frames they speak, byte
-// for byte, while a v6 client refused by an older server gets the typed
-// ErrVersionMismatch. On v2–v5 connections the client streams gob-encoded
-// Request frames; each version's frames are a strict field superset of
-// the previous one:
+// The server accepts exactly two versions: v6, and v5, whose data plane is
+// gob-encoded Request and Reply values carrying the same fields as the
+// binary frames. Any other version byte, the
+// retired v2–v4 included, is refused at the handshake with the typed
+// ErrVersionMismatch, as is a v6 client dialing an older server.
 //
-//	v2/v3 Request: {Queries []Query}                 → Reply: {Code, Detail, Results}
-//	v4    Request: {ID, Op, Queries []Query, Trace}  → Reply: {ID, Code, Detail, Results, Models, Timing}
-//	v5    Request: v4 + {BudgetNs}                   → Reply: v4 + {Partials, NormSq, GoAway}
+//	v5    Request: {ID, Op, Queries, Trace, BudgetNs} → Reply: {ID, Code, Detail, Results, Models, Timing, Partials, NormSq, GoAway}
 //
 // The partial-score reply serves sharded scatter–gather: OpPartialScores
 // answers with raw per-class int64 dot products (Partials, one row per
@@ -93,27 +90,25 @@
 // the request sends its 64-bit trace ID on the frame, and the server
 // answers a traced request with its per-stage timing breakdown
 // (StageTiming). On gob connections both are zero-valued on untraced
-// traffic, which gob omits, so untraced v4/v5 frames are byte-identical to
+// traffic, which gob omits, so untraced v5 frames are byte-identical to
 // pre-trace frames; on v6 they are flagged fields, absent when unused.
 //
-// ID is a client-chosen correlation number echoed on the reply; on a v4+
-// connection the server handles frames concurrently and MAY answer them
-// out of order, so clients pipeline many requests over one connection and
+// ID is a client-chosen correlation number echoed on the reply. The server
+// handles every connection's frames concurrently and MAY answer them out
+// of order, so clients pipeline many requests over one connection and
 // match replies by ID (the Client below runs dedicated send/recv goroutines
-// with an in-flight table). On v2/v3 connections frames are answered
-// strictly in order, one at a time, exactly as before. Op selects the
-// frame's operation: classification, a registry listing (OpListModels) so
-// clients can discover served models without out-of-band configuration,
-// partial scores, or a liveness ping.
+// with an in-flight table). Op selects the frame's operation:
+// classification, a registry listing (OpListModels) so clients can
+// discover served models without out-of-band configuration, partial
+// scores, or a liveness ping.
 //
 // Each classification request carries up to MaxBatch query hypervectors,
 // and the server answers each frame with one reply carrying the per-query
 // labels and scores. Queries are scored on a bounded worker pool shared by
 // every connection (WithWorkers), each query dispatched individually so one
 // large or slow batch cannot monopolize the server. Quantized queries
-// travel packed — two bits per symbol on v6, one byte on older versions —
-// and the server validates every packed symbol against the advertised
-// alphabet.
+// travel packed — two bits per symbol on v6, one byte on v5 — and the
+// server validates every packed symbol against the advertised alphabet.
 //
 // The models behind a server live in a registry (internal/registry): each
 // Request frame resolves its model name against the current registry
@@ -149,24 +144,14 @@ import (
 )
 
 // ProtocolVersion is the wire protocol version this package speaks. The
-// server also accepts versionV2 through versionV5 peers; anything else is
-// rejected during the handshake.
+// server also accepts versionV5 peers; anything else is rejected during
+// the handshake.
 const ProtocolVersion = 6
 
-// versionV2–versionV5 are the previous protocol versions, still accepted
-// by the server: a v2 Hello carries no model name and resolves to the
-// default model, v2/v3 frames carry no request IDs and are answered
-// strictly in order, v4 connections pipeline but receive no shard
-// descriptors, partial-score replies or GoAway drain notices, and each
-// newer ServerHello/Reply is a strict field superset of the previous one
-// (gob drops the fields an old client does not know). v2–v5 frames are
-// gob-encoded Request and Reply values; v6 replaces them with binary frames.
-const (
-	versionV2 = 2
-	versionV3 = 3
-	versionV4 = 4
-	versionV5 = 5
-)
+// versionV5 is the previous protocol version, still accepted by the
+// server: the same handshake and operations, with gob-encoded Request and
+// Reply values where v6 uses binary frames.
+const versionV5 = 5
 
 // DefaultModelName is the registry name NewServer publishes a single model
 // under.
@@ -304,15 +289,15 @@ func codeError(code, detail string) error {
 }
 
 // Hello is the client half of the handshake: the geometry of the encoder
-// behind the queries to come, and (v3) which served model they are for.
+// behind the queries to come, and which served model they are for.
 // Classes may be zero when the client does not know the label space (a pure
-// edge encoder). Dim may be zero on v3 connections to mean "any geometry" —
-// the auto-configuring client that builds its encoder from the ServerHello.
+// edge encoder). Dim may be zero to mean "any geometry" — the
+// auto-configuring client that builds its encoder from the ServerHello.
 type Hello struct {
 	Dim     int
 	Classes int
 	// Model names the served model to bind the connection to; empty
-	// resolves to the server's default model. v2 clients never set it.
+	// resolves to the server's default model.
 	Model string
 }
 
@@ -330,12 +315,12 @@ type ServerHello struct {
 	// MinSymbol and MaxSymbol bound the accepted packed-query alphabet.
 	MinSymbol int8
 	MaxSymbol int8
-	// Model and ModelVersion (v3) identify the resolved registry entry:
+	// Model and ModelVersion identify the resolved registry entry:
 	// the name the connection is bound to and its publication version
 	// (bumped by every hot swap).
 	Model        string
 	ModelVersion int
-	// Encoding, Levels, Features and Seed (v3) are the model's full public
+	// Encoding, Levels, Features and Seed are the model's full public
 	// encoder setup — base/level hypervectors are deterministic in these,
 	// and they are shared public setup per the paper, so advertising them
 	// lets edges auto-configure without leaking anything the paper keeps
@@ -345,9 +330,8 @@ type ServerHello struct {
 	Levels   int
 	Features int
 	Seed     uint64
-	// Shard (v5) describes the slice of a larger logical model this entry
-	// serves, nil for whole models — gob omits the nil, so non-sharded
-	// handshakes stay byte-identical for pre-v5 peers.
+	// Shard describes the slice of a larger logical model this entry
+	// serves, nil for whole models (which gob omits).
 	Shard *registry.ShardInfo
 }
 
@@ -359,7 +343,7 @@ type Query struct {
 	// Packed carries a small-alphabet (quantized) query as one symbol per
 	// dimension. v6 frames carry it as 2-bit codes, a 32× wire saving over
 	// float64 that §III-C's quantization makes possible ("transferring the
-	// least amount of information"); v2–v5 gob frames carry one byte per
+	// least amount of information"); v5 gob frames carry one byte per
 	// symbol. Servers only accept symbols within the alphabet advertised in
 	// their ServerHello ([MinSymbol, MaxSymbol], i.e. −2…+1); anything else
 	// is rejected with ErrSymbolOutOfRange.
@@ -397,15 +381,14 @@ func PackQuery(h []float64) ([]int8, bool) {
 	return intscore.PackInto(h, nil)
 }
 
-// Request ops selectable per frame since v4. The zero value is
-// classification, so v2/v3 frames (which carry no Op) keep their meaning.
+// Request ops selectable per frame. The zero value is classification.
 const (
 	// OpClassify scores Request.Queries against the connection's model.
 	OpClassify = ""
 	// OpListModels asks for the server's current registry listing
 	// (Reply.Models) — client-side model discovery over the wire.
 	OpListModels = "list-models"
-	// OpPartialScores (v5) asks for raw per-class int64 dot products of
+	// OpPartialScores asks for raw per-class int64 dot products of
 	// each packed query against the served (possibly sliced) model, plus
 	// the per-class Σv² — the scatter half of sharded scoring. Queries
 	// must be packed; models that cannot answer exactly (DP-noised) are
@@ -419,18 +402,18 @@ const (
 )
 
 // Request is one client→server frame: a batch of queries answered together
-// in a single reply, or (v4) a control operation.
+// in a single reply, or a control operation.
 type Request struct {
-	// ID correlates the frame's Reply on pipelined (v4) connections, where
-	// replies may arrive out of order. The server echoes it verbatim. v2/v3
-	// clients never set it.
+	// ID correlates the frame's Reply on pipelined connections, where
+	// replies may arrive out of order. The server echoes it verbatim.
 	ID uint64
-	// Op is the frame operation: OpClassify (empty) or OpListModels.
+	// Op is the frame operation: OpClassify (empty), OpListModels,
+	// OpPartialScores or OpPing.
 	Op      string
 	Queries []Query
 	// Trace is the request's 64-bit trace ID; 0 means untraced, and gob
 	// omits the zero so untraced frames stay byte-identical to pre-trace
-	// v4 frames. A traced request gets its server-side stage breakdown
+	// frames. A traced request gets its server-side stage breakdown
 	// back on Reply.Timing, and the server tags its histogram exemplar,
 	// flight-recorder entry and slow-request log line with the same ID.
 	// Servers that predate the field drop it silently (gob field-superset
@@ -466,7 +449,7 @@ type ModelListing struct {
 	Dim     int
 	Classes int
 	// Encoding, Levels, Features and Seed are the model's public encoder
-	// setup, as advertised in the v3+ ServerHello.
+	// setup, as advertised in the ServerHello.
 	Encoding int
 	Levels   int
 	Features int
@@ -477,7 +460,7 @@ type ModelListing struct {
 
 // Reply is one server→client frame answering a Request. Code is empty on
 // success; on failure it names the protocol error and no Results are
-// returned. ID echoes the Request's correlation number (v4).
+// returned. ID echoes the Request's correlation number.
 type Reply struct {
 	ID      uint64
 	Code    string
@@ -487,18 +470,18 @@ type Reply struct {
 	Models []ModelListing
 	// Timing is the server-side stage breakdown, attached only to traced
 	// requests — nil otherwise, which gob omits, keeping untraced replies
-	// byte-identical to pre-trace v4 replies. Clients use it to attribute
+	// byte-identical to pre-trace replies. Clients use it to attribute
 	// a round trip to server queue/scoring versus the network; peers that
 	// predate the field drop it silently.
 	Timing *StageTiming
-	// Partials and NormSq (v5) answer an OpPartialScores request:
+	// Partials and NormSq answer an OpPartialScores request:
 	// Partials[i][l] is the exact int64 dot of query i against the served
 	// entry's class l, and NormSq[l] is Σv² of that class — both over the
 	// dimension slice this server holds, so a coordinator sums them across
 	// shards and reconstructs whole-model scores bit-for-bit.
 	Partials [][]int64
 	NormSq   []float64
-	// GoAway (v5) marks an unsolicited server-push drain notice (ID 0):
+	// GoAway marks an unsolicited server-push drain notice (ID 0):
 	// the server has begun a graceful shutdown and the client should stop
 	// routing new work here. In-flight requests will still be answered.
 	GoAway bool
@@ -784,30 +767,30 @@ func (s *Server) Served() int {
 	return s.served
 }
 
-// maxConnPipeline bounds how many v4+ frames one connection may have in
+// maxConnPipeline bounds how many frames one connection may have in
 // flight on the server: past it the connection's read loop stops decoding
 // until a frame completes, so TCP backpressure paces a client that
 // pipelines faster than the server answers.
 const maxConnPipeline = 128
 
 // srvConn tracks one client connection's lifecycle for graceful shutdown,
-// plus the model name and protocol version the handshake bound it to. On
-// v4+ connections many frames may be in flight at once, so the busy state
-// is a counter and replies are serialized by writeMu.
+// plus the model name and protocol version the handshake bound it to. Many
+// frames may be in flight at once, so the busy state is a counter and
+// replies are serialized by writeMu.
 type srvConn struct {
 	conn    net.Conn
 	peer    string // remote address, cached so per-frame entries don't re-format it
 	model   string // requested model name; "" = registry default
-	version byte   // negotiated protocol version (2–6)
-	// enc writes the handshake answer, and every reply on v2–v5
-	// connections; v6 replies are binary frames written straight to conn.
+	version byte   // negotiated protocol version (5 or 6)
+	// enc writes the handshake answer, and every reply on v5 connections;
+	// v6 replies are binary frames written straight to conn.
 	enc *gob.Encoder
 
-	writeMu sync.Mutex     // serializes replies from concurrent v4+ frames
-	frames  sync.WaitGroup // in-flight v4+ frame goroutines
+	writeMu sync.Mutex     // serializes replies from concurrent frames
+	frames  sync.WaitGroup // in-flight frame goroutines
 
-	// goAway, set after a v5 handshake, pushes the drain notice to the
-	// peer; goAwayOnce makes repeated askClose calls idempotent.
+	// goAway, set once the handshake is accepted, pushes the drain notice
+	// to the peer; goAwayOnce makes repeated askClose calls idempotent.
 	goAwayOnce sync.Once
 
 	mu            sync.Mutex
@@ -816,9 +799,9 @@ type srvConn struct {
 	closeWhenIdle bool
 }
 
-// notifyGoAway pushes the v5 drain notice, once, if the handshake
-// installed one (pre-v5 peers and unfinished handshakes get nothing — they
-// discover the drain from the FIN exactly as before).
+// notifyGoAway pushes the drain notice, once, if the handshake installed
+// one (an unfinished handshake gets nothing — it discovers the drain from
+// the FIN).
 func (c *srvConn) notifyGoAway() {
 	c.mu.Lock()
 	fn := c.goAway
@@ -851,7 +834,7 @@ func (c *srvConn) exitBusy() bool {
 }
 
 // askClose requests a graceful close: the peer is told to stop routing new
-// work here (v5 GoAway push), idle connections close immediately, busy
+// work here (GoAway push), idle connections close immediately, busy
 // ones right after their last in-flight reply.
 func (c *srvConn) askClose() {
 	c.notifyGoAway()
@@ -870,20 +853,16 @@ func (c *srvConn) askClose() {
 // requests it already pipelined. Half-closing the write side sends a clean
 // FIN instead; the handler's read loop then drains the peer until it
 // notices and hangs up, and the final Close finds nothing left to reset.
-// v2/v3 connections are strictly request-reply, so they never have replies
-// at risk and close fully.
+// A connection that cannot half-close closes fully.
 func (c *srvConn) gracefulClose() {
-	if c.version >= versionV4 {
-		if cw, ok := c.conn.(closeWriter); ok {
-			cw.CloseWrite()
-			// Bound how long the handler's read loop waits for the peer
-			// to notice the FIN and hang up: a peer that never closes
-			// (idle, or ignoring the FIN) must not pin the handler — and
-			// with it a graceful Shutdown — until the caller's ctx
-			// expires.
-			c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			return
-		}
+	if cw, ok := c.conn.(closeWriter); ok {
+		cw.CloseWrite()
+		// Bound how long the handler's read loop waits for the peer to
+		// notice the FIN and hang up: a peer that never closes (idle, or
+		// ignoring the FIN) must not pin the handler — and with it a
+		// graceful Shutdown — until the caller's ctx expires.
+		c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		return
 	}
 	c.conn.Close()
 }
@@ -1105,10 +1084,10 @@ func (s *Server) handle(sc *srvConn) {
 		refuse(conn, enc, ServerHello{Code: codeBadMagic, Version: ProtocolVersion})
 		return
 	}
-	if hdr[3] < versionV2 || hdr[3] > ProtocolVersion {
+	if hdr[3] != versionV5 && hdr[3] != ProtocolVersion {
 		refuse(conn, enc, ServerHello{
 			Code:    codeVersion,
-			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV2, versionV5, hdr[3]),
+			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV5, ProtocolVersion, hdr[3]),
 			Version: ProtocolVersion,
 		})
 		return
@@ -1119,12 +1098,11 @@ func (s *Server) handle(sc *srvConn) {
 	if err := dec.Decode(&hello); err != nil {
 		return
 	}
-	// Bind the connection to the resolved model name (a v2 Hello carries
-	// none and resolves to the default). The resolved name — not the
-	// possibly-empty requested one — is pinned, so a later SetDefault
-	// cannot silently rebind an established connection to a model it
-	// never handshook with; the name is then re-resolved against the
-	// registry on every frame, so hot swaps of the same name apply
+	// Bind the connection to the resolved model name. The resolved name —
+	// not the possibly-empty requested one — is pinned, so a later
+	// SetDefault cannot silently rebind an established connection to a
+	// model it never handshook with; the name is then re-resolved against
+	// the registry on every frame, so hot swaps of the same name apply
 	// without reconnecting.
 	entry, err := s.reg.Lookup(hello.Model)
 	if err != nil {
@@ -1137,10 +1115,8 @@ func (s *Server) handle(sc *srvConn) {
 	}
 	sc.model = entry.Name
 	model := entry.Model
-	// v3 clients may advertise Dim 0 — "configure me from your answer";
-	// v2 clients always advertised their real dimensionality, so a zero
-	// from them stays a mismatch.
-	dimOK := hello.Dim == model.Dim() || (sc.version >= 3 && hello.Dim == 0)
+	// Dim 0 means "configure me from your answer".
+	dimOK := hello.Dim == model.Dim() || hello.Dim == 0
 	if !dimOK || (hello.Classes != 0 && hello.Classes != model.NumClasses()) {
 		refuse(conn, enc, ServerHello{
 			Code: codeGeometry,
@@ -1165,87 +1141,57 @@ func (s *Server) handle(sc *srvConn) {
 		Levels:       entry.Encoder.Levels,
 		Features:     entry.Encoder.Features,
 		Seed:         entry.Encoder.Seed,
-	}
-	if sc.version >= versionV5 {
-		accept.Shard = entry.Shard
+		Shard:        entry.Shard,
 	}
 	if err := enc.Encode(accept); err != nil {
 		return
 	}
-	if sc.version >= versionV5 {
-		// Install the drain notice now that the peer speaks v5+ and the
-		// handshake is done: a graceful shutdown pushes a GoAway reply (ID
-		// 0, never assigned) under writeMu before half-closing, so
-		// coordinators stop routing here ahead of the FIN.
-		sc.mu.Lock()
-		sc.goAway = func() {
-			sc.writeMu.Lock()
-			if sc.version == ProtocolVersion {
-				conn.Write(goAwayFrame)
-			} else {
-				enc.Encode(Reply{GoAway: true})
-			}
-			sc.writeMu.Unlock()
+	// Install the drain notice now that the handshake is done: a graceful
+	// shutdown pushes a GoAway reply (ID 0, never assigned) under writeMu
+	// before half-closing, so coordinators stop routing here ahead of the
+	// FIN.
+	sc.mu.Lock()
+	sc.goAway = func() {
+		sc.writeMu.Lock()
+		if sc.version == ProtocolVersion {
+			conn.Write(goAwayFrame)
+		} else {
+			enc.Encode(Reply{GoAway: true})
 		}
-		sc.mu.Unlock()
+		sc.writeMu.Unlock()
 	}
+	sc.mu.Unlock()
+	read := func(f *frame) error { return dec.Decode(&f.req) }
 	if sc.version == ProtocolVersion {
-		s.serveFrames(sc, br, requestLimits(model.Dim(), s.maxBatch))
-		return
+		lim := requestLimits(model.Dim(), s.maxBatch)
+		read = func(f *frame) error { return readRequest(br, lim, f) }
 	}
-
-	// v4 connections pipeline: each frame is answered on its own goroutine
-	// (replies serialized by writeMu, possibly out of order), bounded by
-	// maxConnPipeline so a fast sender is paced by TCP backpressure rather
-	// than unbounded goroutines. v2/v3 connections keep the strict one-
-	// frame-at-a-time, in-order protocol. Before the handler returns it
-	// waits for in-flight frame goroutines, so a graceful shutdown never
-	// closes the conn under a reply still being written.
-	sem := make(chan struct{}, maxConnPipeline)
-	defer sc.frames.Wait()
-	for {
-		var req Request
-		tRead := time.Now()
-		if err := dec.Decode(&req); err != nil {
-			return // EOF, broken peer, or shutdown closed the conn
-		}
-		// Receive+decode time for the frame. On an idle connection this
-		// includes waiting for the client's bytes, so it feeds the flight
-		// recorder's decode stage but never the wire-reported server total.
-		decodeDur := time.Since(tRead)
-		if !sc.enterBusy() {
-			if sc.version >= versionV4 {
-				sc.drainRefused(br)
-			}
-			return
-		}
-		f := &frame{req: req}
-		if sc.version >= versionV4 {
-			s.startFrame(sc, f, decodeDur, sem)
-			continue
-		}
-		err := s.handleFrame(sc, f, decodeDur)
-		if sc.exitBusy() || err != nil {
-			return
-		}
-	}
+	s.serveFrames(sc, br, read)
 }
 
-// serveFrames is the v6 read loop: it decodes binary request frames from
-// the connection's shared reader into pooled frames, bounded by lim, and
-// answers each on its own goroutine exactly as v4/v5 frames are answered.
-// Typed frame violations are answered with their refusal; a truncated or
-// malformed frame ends the connection.
-func (s *Server) serveFrames(sc *srvConn, br *bufio.Reader, lim frameLimits) {
+// serveFrames is the connection's read loop: read decodes each request —
+// a gob Request on v5, a binary frame on v6 — into a pooled frame (which
+// putFrame zeroed, as gob needs: it omits zero fields), and each frame is
+// answered on its own goroutine, replies serialized by writeMu and
+// possibly out of order. At most maxConnPipeline frames are in flight, so
+// a fast sender is paced by TCP backpressure rather than unbounded
+// goroutines. Typed frame violations are answered with their refusal; a
+// truncated or malformed frame ends the connection. Before returning it
+// waits for in-flight frame goroutines, so a graceful shutdown never
+// closes the conn under a reply still being written.
+func (s *Server) serveFrames(sc *srvConn, br *bufio.Reader, read func(*frame) error) {
 	sem := make(chan struct{}, maxConnPipeline)
 	defer sc.frames.Wait()
 	for {
 		f := getFrame()
 		tRead := time.Now()
-		if err := readRequest(br, lim, f); err != nil {
+		if err := read(f); err != nil {
 			putFrame(f)
 			return // EOF, broken or hostile peer, or shutdown closed the conn
 		}
+		// Receive+decode time for the frame. On an idle connection this
+		// includes waiting for the client's bytes, so it feeds the flight
+		// recorder's decode stage but never the wire-reported server total.
 		decodeDur := time.Since(tRead)
 		if !sc.enterBusy() {
 			putFrame(f)
@@ -1256,9 +1202,9 @@ func (s *Server) serveFrames(sc *srvConn, br *bufio.Reader, lim frameLimits) {
 	}
 }
 
-// startFrame answers one v4+ frame on its own goroutine, bounded by sem.
-// The goroutine owns f from here on and, for pooled v6 frames, returns it
-// to the pool once the reply is written.
+// startFrame answers one frame on its own goroutine, bounded by sem. The
+// goroutine owns f from here on and returns it to the pool once the reply
+// is written.
 func (s *Server) startFrame(sc *srvConn, f *frame, decodeDur time.Duration, sem chan struct{}) {
 	sem <- struct{}{}
 	sc.frames.Add(1)
@@ -1268,9 +1214,7 @@ func (s *Server) startFrame(sc *srvConn, f *frame, decodeDur time.Duration, sem 
 		defer sc.frames.Done()
 		defer func() { <-sem }()
 		err := s.handleFrame(sc, f, decodeDur)
-		if sc.version == ProtocolVersion {
-			putFrame(f)
-		}
+		putFrame(f)
 		closing := sc.exitBusy()
 		if err != nil {
 			sc.conn.Close()
@@ -1285,7 +1229,7 @@ func (s *Server) startFrame(sc *srvConn, f *frame, decodeDur time.Duration, sem 
 // for requests arriving untraced), span timing through answer and the
 // reply write, the wire-reported StageTiming for traced requests, and the
 // flight-recorder/slow-log entry every frame produces. The reply is a
-// binary frame on v6 connections and a gob Reply on older ones. It returns
+// binary frame on v6 connections and a gob Reply on v5 ones. It returns
 // the reply-write error, which terminates the connection.
 func (s *Server) handleFrame(sc *srvConn, f *frame, decodeDur time.Duration) error {
 	start := time.Now()
@@ -1371,7 +1315,7 @@ func (s *Server) answer(modelName string, req Request, span *trace.Span) Reply {
 }
 
 // answerFrame handles one request frame: classification against the
-// current publication of the connection's model, a v4 control op, or the
+// current publication of the connection's model, a control op, or the
 // typed refusal the v6 decoder already chose. Results are computed into
 // the frame's storage. It is the per-frame instrumentation point: in-flight
 // gauge, per-op request counter and latency histogram, and typed-rejection
@@ -1509,7 +1453,7 @@ func (s *Server) answerClassify(modelName string, f *frame, span *trace.Span, de
 	return Reply{Results: results}
 }
 
-// answerPartialScores answers the scatter half of sharded scoring (v5):
+// answerPartialScores answers the scatter half of sharded scoring:
 // the raw int64 dot of every packed query against every served class, plus
 // the per-class Σv², both over whatever dimension slice this server's
 // entry holds. It refuses — typed, never retried — when the entry cannot
@@ -1591,7 +1535,7 @@ type Client struct {
 	sendCh chan *pending
 	broken chan struct{} // closed on the first transport failure (or Close)
 
-	// draining is set when the server pushes a v5 GoAway drain notice:
+	// draining is set when the server pushes a GoAway drain notice:
 	// the connection still answers what is in flight, but pools and
 	// coordinators should route new work elsewhere.
 	draining atomic.Bool
@@ -1633,8 +1577,7 @@ type ClientOption func(*Client)
 // each frame write must complete within d, and whenever requests are in
 // flight a reply must arrive within d of the last one (an idle connection
 // never times out). Without it a hung server blocks a Classify call
-// forever — the pre-v4 client cleared the dial deadline after the
-// handshake and never armed another. On expiry the connection fails every
+// forever. On expiry the connection fails every
 // in-flight call with an error wrapping ErrIOTimeout (and ErrTransport).
 func WithIOTimeout(d time.Duration) ClientOption {
 	return func(c *Client) {
@@ -2060,7 +2003,7 @@ func (c *Client) stickyErr() error {
 // still usable. Pools use it to discard broken connections.
 func (c *Client) Err() error { return c.stickyErr() }
 
-// Draining reports whether the server pushed a GoAway drain notice (v5):
+// Draining reports whether the server pushed a GoAway drain notice:
 // it is shutting down gracefully, will answer what is already in flight,
 // but should get no new work. Pools treat a draining connection like a
 // dead one when placing new operations, without cutting off replies still
@@ -2183,7 +2126,7 @@ func (c *Client) ClassifyBatchScores(ctx context.Context, prepared [][]float64) 
 
 // ListModels asks the server for its current registry listing — every
 // served model's name, version, geometry and public encoder setup — so a
-// client can discover models without out-of-band configuration (v4).
+// client can discover models without out-of-band configuration.
 func (c *Client) ListModels(ctx context.Context) ([]ModelListing, error) {
 	p, err := c.control(ctx, OpListModels)
 	if err != nil {
@@ -2201,7 +2144,7 @@ func (c *Client) ListModels(ctx context.Context) ([]ModelListing, error) {
 
 // PartialScores asks the server for the raw int64 dot of every packed
 // query against every class of its served (possibly sliced) model, plus
-// the per-class Σv² (v5, OpPartialScores). The queries must already be
+// the per-class Σv² (OpPartialScores). The queries must already be
 // sliced to the server's dimension range. Partial-incapable models are
 // refused with ErrPartialUnsupported; transport failures wrap ErrTransport
 // and may be retried on another replica of the same shard. The frame

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,30 +147,60 @@ func TestHandshakeRejectsWrongClasses(t *testing.T) {
 }
 
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
+	// The server accepts exactly v5 and v6. The retired v2–v4 and a
+	// hypothetical future version get the typed refusal; v5 and v6 peers
+	// are accepted, including with a Dim-0 ("any geometry") Hello.
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Hand-rolled handshake from a hypothetical future client. (v2 is NOT
-	// rejected — see TestV2ClientStillServed.)
-	if _, err := conn.Write([]byte{'P', 'H', 'D', ProtocolVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	var hello ServerHello
-	if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != codeVersion {
-		t.Errorf("hello.Code = %q, want %q", hello.Code, codeVersion)
-	}
-	if err := codeError(hello.Code, hello.Detail); !errors.Is(err, ErrVersionMismatch) {
-		t.Errorf("codeError = %v, want ErrVersionMismatch", err)
-	}
-	if hello.Version != ProtocolVersion {
-		t.Errorf("server advertised v%d, want v%d", hello.Version, ProtocolVersion)
+	for _, tc := range []struct {
+		version byte
+		accept  bool
+	}{
+		{2, false},
+		{3, false},
+		{4, false},
+		{versionV5, true},
+		{ProtocolVersion, true},
+		{ProtocolVersion + 1, false},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte{'P', 'H', 'D', tc.version}); err != nil {
+				t.Fatal(err)
+			}
+			if err := gob.NewEncoder(conn).Encode(Hello{Dim: 0}); err != nil {
+				t.Fatal(err)
+			}
+			var hello ServerHello
+			if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
+				t.Fatal(err)
+			}
+			if tc.accept {
+				if hello.Code != "" {
+					t.Fatalf("v%d Dim-0 hello refused: %s (%s)", tc.version, hello.Code, hello.Detail)
+				}
+				if hello.Version != tc.version || hello.Dim != 4 {
+					t.Errorf("accepted hello = %+v, want version %d dim 4", hello, tc.version)
+				}
+				return
+			}
+			if hello.Code != codeVersion {
+				t.Errorf("hello.Code = %q, want %q", hello.Code, codeVersion)
+			}
+			if err := codeError(hello.Code, hello.Detail); !errors.Is(err, ErrVersionMismatch) {
+				t.Errorf("codeError = %v, want ErrVersionMismatch", err)
+			}
+			if hello.Version != ProtocolVersion {
+				t.Errorf("server advertised v%d, want v%d", hello.Version, ProtocolVersion)
+			}
+			if want := fmt.Sprintf("v%d–v%d", versionV5, ProtocolVersion); !strings.Contains(hello.Detail, want) {
+				t.Errorf("detail %q does not name %s", hello.Detail, want)
+			}
+		})
 	}
 }
 
@@ -862,92 +893,6 @@ func TestDeregisterMidStreamFailsFramesNotConnection(t *testing.T) {
 	}
 }
 
-// v2Hello mirrors the protocol-v2 client Hello wire shape.
-type v2Hello struct {
-	Dim     int
-	Classes int
-}
-
-// v2ServerHello mirrors the protocol-v2 client's view of the server answer:
-// the v3 ServerHello is a strict superset, and gob drops fields the
-// receiver does not declare.
-type v2ServerHello struct {
-	Code      string
-	Detail    string
-	Version   byte
-	Dim       int
-	Classes   int
-	MaxBatch  int
-	MinSymbol int8
-	MaxSymbol int8
-}
-
-func TestV2ClientStillServed(t *testing.T) {
-	// A byte-faithful v2 handshake (version byte 2, model-less Hello) must
-	// still round-trip queries against the default model.
-	reg := registry.New()
-	if _, err := reg.Register("legacy-default", labelModel(1), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	addr, _, cleanup := startRegistryServer(t, reg)
-	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', 2}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(v2Hello{Dim: 4, Classes: 2}); err != nil {
-		t.Fatal(err)
-	}
-	var hello v2ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" {
-		t.Fatalf("v2 handshake rejected: %s (%s)", hello.Code, hello.Detail)
-	}
-	if hello.Version != 2 {
-		t.Errorf("server answered v%d to a v2 client, want v2", hello.Version)
-	}
-	if hello.Dim != 4 || hello.Classes != 2 || hello.MaxBatch != DefaultMaxBatch {
-		t.Errorf("v2 hello = %+v", hello)
-	}
-	if err := enc.Encode(Request{Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
-		t.Fatal(err)
-	}
-	var reply Reply
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Code != "" || len(reply.Results) != 1 || reply.Results[0].Label != 1 {
-		t.Errorf("v2 reply = %+v", reply)
-	}
-	// A v2 client cannot ask for "any geometry": Dim 0 stays a mismatch.
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if _, err := conn2.Write([]byte{'P', 'H', 'D', 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(conn2).Encode(v2Hello{}); err != nil {
-		t.Fatal(err)
-	}
-	var rej v2ServerHello
-	if err := gob.NewDecoder(conn2).Decode(&rej); err != nil {
-		t.Fatal(err)
-	}
-	if rej.Code != codeGeometry {
-		t.Errorf("v2 dim-0 hello answered %q, want %q", rej.Code, codeGeometry)
-	}
-}
-
 func TestWorkerPoolServesManyConnections(t *testing.T) {
 	// A 2-worker pool behind 8 connections streaming batches: everything
 	// must still answer correctly (the pool is shared, not per-conn).
@@ -1435,86 +1380,9 @@ func TestShutdownWithInFlightPipelinedRequests(t *testing.T) {
 	t.Logf("graceful shutdown answered %d/%d pipelined frames", succeeded, frames)
 }
 
-// v3Hello mirrors the protocol-v3 client Hello wire shape (same fields as
-// v4's — v4 only added Request/Reply fields).
-type v3Hello struct {
-	Dim     int
-	Classes int
-	Model   string
-}
-
-// v3Request and v3Reply mirror the v3 frame shapes: no ID, no Op, no
-// Models. gob drops the extra v4 Reply fields for such a decoder.
-type v3Request struct {
-	Queries []Query
-}
-
-type v3Reply struct {
-	Code    string
-	Detail  string
-	Results []Result
-}
-
-func TestV3ClientStillServed(t *testing.T) {
-	// A byte-faithful v3 session (version byte 3, ID-less frames) must be
-	// served sequentially, strictly in order, against its named model.
-	reg := registry.New()
-	if _, err := reg.Register("m0", labelModel(0), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Register("m1", labelModel(1), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	addr, srv, cleanup := startRegistryServer(t, reg)
-	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', 3}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(v3Hello{Dim: 4, Model: "m1"}); err != nil {
-		t.Fatal(err)
-	}
-	var hello ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" {
-		t.Fatalf("v3 handshake rejected: %s (%s)", hello.Code, hello.Detail)
-	}
-	if hello.Version != 3 {
-		t.Errorf("server answered v%d to a v3 client, want v3", hello.Version)
-	}
-	if hello.Model != "m1" {
-		t.Errorf("v3 client bound to %q, want m1", hello.Model)
-	}
-	// Stream several ID-less frames; each must be answered before the next
-	// is read (in-order, one reply per request).
-	for i := 0; i < 3; i++ {
-		if err := enc.Encode(v3Request{Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
-			t.Fatal(err)
-		}
-		var reply v3Reply
-		if err := dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		if reply.Code != "" || len(reply.Results) != 1 || reply.Results[0].Label != 1 {
-			t.Fatalf("v3 frame %d reply = %+v", i, reply)
-		}
-	}
-	if srv.Served() != 3 {
-		t.Errorf("Served = %d, want 3", srv.Served())
-	}
-}
-
 func TestShutdownBoundedByIdlePeerThatNeverCloses(t *testing.T) {
-	// A v4 peer that handshakes, sends nothing, and ignores the graceful
-	// FIN: Shutdown must not block until its ctx expires — the half-close
+	// A raw v5 peer that handshakes, sends nothing, and ignores the
+	// graceful FIN: Shutdown must not block until its ctx expires — the half-close
 	// arms a read deadline that unpins the idle handler.
 	addr, srv, _ := startServer(t, toyModel())
 	conn, _, _ := rawHandshake(t, addr, versionV5, Hello{Dim: 4})

@@ -300,115 +300,6 @@ func TestListModelsDiscovery(t *testing.T) {
 	}
 }
 
-// legacyHello mirrors the v2/v3 client Hello wire shape.
-type legacyHello struct {
-	Dim     int
-	Classes int
-	Model   string // ignored by v2 servers; gob omits the zero value
-}
-
-// legacyReply mirrors the v2/v3 client's view of a Reply: no ID, no
-// Models — gob drops the newer fields.
-type legacyReply struct {
-	Code    string
-	Detail  string
-	Results []offload.Result
-}
-
-// roundTripLegacy runs one hand-rolled v2 or v3 session against addr.
-func roundTripLegacy(t *testing.T, addr string, version byte, dim int, query []float64) legacyReply {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', version}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(legacyHello{Dim: dim}); err != nil {
-		t.Fatal(err)
-	}
-	var hello offload.ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" {
-		t.Fatalf("v%d handshake rejected: %s (%s)", version, hello.Code, hello.Detail)
-	}
-	if hello.Version != version {
-		t.Fatalf("server answered v%d to a v%d client", hello.Version, version)
-	}
-	if err := enc.Encode(struct{ Queries []offload.Query }{[]offload.Query{{Vector: query}}}); err != nil {
-		t.Fatal(err)
-	}
-	var reply legacyReply
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	return reply
-}
-
-func TestLegacyClientsServedAlongsidePool(t *testing.T) {
-	// Regression for the v4 upgrade: while a pipelined Pool hammers the
-	// server, byte-faithful v2 and v3 clients must still be served
-	// in-order against the default model.
-	pipe, X, y := toyPipeline(t)
-	addr, _, cleanup := startPipelineServer(t, pipe)
-	defer cleanup()
-
-	pool, err := privehd.Connect(context.Background(),
-		privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologyPool},
-		privehd.WithConnectPool(privehd.WithPoolSize(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	stop := make(chan struct{})
-	poolErr := make(chan error, 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				poolErr <- nil
-				return
-			default:
-			}
-			if _, err := pool.PredictBatch(X[:8]); err != nil {
-				poolErr <- err
-				return
-			}
-		}
-	}()
-
-	edge, err := pipe.Edge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []byte{2, 3} {
-		for i := 0; i < 4; i++ {
-			q, err := edge.Prepare(X[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			reply := roundTripLegacy(t, addr, version, pipe.Dim(), q)
-			if reply.Code != "" {
-				t.Fatalf("v%d frame rejected: %s", version, reply.Code)
-			}
-			if len(reply.Results) != 1 || reply.Results[0].Label != y[i] {
-				t.Errorf("v%d client got %+v for sample %d (want label %d)", version, reply.Results, i, y[i])
-			}
-		}
-	}
-	close(stop)
-	if err := <-poolErr; err != nil {
-		t.Fatalf("pool traffic failed alongside legacy clients: %v", err)
-	}
-}
-
 func TestDialWithIOTimeoutUnblocksHungServer(t *testing.T) {
 	// A server that handshakes then goes silent must not block Predict
 	// forever.

@@ -39,7 +39,7 @@ func NewRegistry() *Registry {
 }
 
 // ModelInfo describes one published model: its registry identity and the
-// public encoder setup advertised to v3 clients.
+// public encoder setup advertised in the handshake.
 type ModelInfo struct {
 	// Name is the registry key clients put in the handshake.
 	Name string
@@ -49,7 +49,7 @@ type ModelInfo struct {
 	Dim     int
 	Classes int
 	// Encoding, Levels, Features and Seed are the encoder's shared public
-	// setup, which v3+ edges auto-configure from.
+	// setup, which edges auto-configure from.
 	Encoding Encoding
 	Levels   int
 	Features int
@@ -178,8 +178,7 @@ func (r *Registry) Swap(name string, p *Pipeline) error {
 // no default until SetDefault (or the next Register) chooses one.
 func (r *Registry) Deregister(name string) error { return r.inner.Deregister(name) }
 
-// SetDefault names the model served to clients that request none (v2
-// clients always do).
+// SetDefault names the model served to clients that request none.
 func (r *Registry) SetDefault(name string) error { return r.inner.SetDefault(name) }
 
 // DefaultName returns the current default model name ("" when unset).

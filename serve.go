@@ -12,9 +12,9 @@ import (
 )
 
 // ProtocolVersion is the version byte of the offloaded-inference wire
-// protocol (v3: model names in the handshake, encoder setup in the
-// answer). Serve and Connect handshake on it; servers also accept v2
-// clients against the default model, and reject everything else.
+// protocol (v6: binary data-plane frames with 2-bit packed queries). Serve
+// and Connect handshake on it; servers also accept v5 peers, which speak
+// gob frames, and refuse every other version with ErrVersionMismatch.
 const ProtocolVersion = offload.ProtocolVersion
 
 // Typed failures, surfaced by Connect and Client calls; test with
