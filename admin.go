@@ -12,14 +12,7 @@ import (
 type AdminOption func(*adminConfig)
 
 type adminConfig struct {
-	maxUpload int64
-	pprof     bool
-}
-
-// WithAdminUploadLimit bounds admin upload bodies in bytes (default 256
-// MiB). Oversized uploads are rejected with 413 before the blob is read.
-func WithAdminUploadLimit(bytes int64) AdminOption {
-	return func(c *adminConfig) { c.maxUpload = bytes }
+	pprof bool
 }
 
 // WithAdminPprof mounts the net/http/pprof profiling handlers under
@@ -61,7 +54,7 @@ func NewAdminHandler(m *Manager, token string, opts ...AdminOption) (http.Handle
 	if cfg.pprof {
 		hopts = append(hopts, admin.WithPprof())
 	}
-	return admin.NewHandler(m, token, cfg.maxUpload, hopts...)
+	return admin.NewHandler(m, token, 0, hopts...)
 }
 
 // ServeAdmin hosts the management plane on lis until ctx is cancelled,

@@ -79,19 +79,6 @@ type ClientStatus struct {
 	Shards []ShardInfo
 }
 
-// BalancePolicy selects how cluster and sharded clients spread requests
-// over healthy replicas.
-type BalancePolicy = cluster.Policy
-
-const (
-	// LeastInFlight sends each request to the healthy replica with the
-	// fewest outstanding requests (the default) — adaptive to replicas of
-	// unequal speed.
-	LeastInFlight = cluster.LeastInFlight
-	// RoundRobin cycles through healthy replicas in order.
-	RoundRobin = cluster.RoundRobin
-)
-
 // ReplicaStatus is one replica's health snapshot: its address, whether it
 // is currently admitted for traffic, and its connection/in-flight counts.
 type ReplicaStatus = cluster.ReplicaStatus
@@ -319,7 +306,6 @@ type connectConfig struct {
 	edge     *Edge
 	edgeOpts []Option
 	pool     cluster.PoolConfig
-	policy   BalancePolicy
 	probe    time.Duration
 	hedge    *cluster.HedgePolicy
 	logger   *slog.Logger
@@ -351,16 +337,6 @@ func WithPoolSize(n int) PoolOption {
 	}
 }
 
-// WithPoolMaxInFlight sets how many requests may be outstanding on one
-// pooled connection before the pool prefers opening another (default 32).
-func WithPoolMaxInFlight(n int) PoolOption {
-	return func(c *cluster.PoolConfig) {
-		if n > 0 {
-			c.MaxInFlightPerConn = n
-		}
-	}
-}
-
 // WithPoolIOTimeout bounds how long a connection waits for progress: each
 // frame write must complete within d, and whenever requests are in flight
 // a reply must arrive within d of the last one (idle connections never
@@ -377,19 +353,6 @@ func WithPoolIOTimeout(d time.Duration) PoolOption {
 	}
 }
 
-// WithPoolIdleTimeout sets how long an unused pooled connection may linger
-// before being closed (default 90s); pass d ≤ 0 to keep idle connections
-// forever.
-func WithPoolIdleTimeout(d time.Duration) PoolOption {
-	return func(c *cluster.PoolConfig) {
-		if d <= 0 {
-			c.IdleTimeout = -1
-			return
-		}
-		c.IdleTimeout = d
-	}
-}
-
 // WithConnectPool applies per-address pool options (WithPoolSize,
 // WithPoolIOTimeout, …) to every connection pool Connect builds. The
 // single-connection topology honours the io-timeout option only.
@@ -399,12 +362,6 @@ func WithConnectPool(opts ...PoolOption) ConnectOption {
 			o(&c.pool)
 		}
 	}
-}
-
-// WithConnectPolicy selects the replica balancing policy for cluster and
-// sharded topologies (default LeastInFlight).
-func WithConnectPolicy(p BalancePolicy) ConnectOption {
-	return func(c *connectConfig) { c.policy = p }
 }
 
 // WithConnectProbeInterval sets how often cluster and sharded topologies
@@ -498,7 +455,7 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 		topo = TopologyPool
 		if len(t.Addrs) > 1 {
 			var err error
-			if topo, err = sniffTopology(ctx, t); err != nil {
+			if topo, err = sniffTopology(ctx, t, cfg.pool.DialTimeout); err != nil {
 				return nil, err
 			}
 		}
@@ -526,7 +483,6 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 			Addrs:         t.Addrs,
 			Hello:         cfg.hello(t.Model),
 			Pool:          cfg.pool,
-			Policy:        cfg.policy,
 			ProbeInterval: cfg.probe,
 			Hedge:         cfg.hedge,
 			Logger:        cfg.logger,
@@ -546,7 +502,6 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 			Addrs:         t.Addrs,
 			Model:         t.Model,
 			Pool:          cfg.pool,
-			Policy:        cfg.policy,
 			ProbeInterval: cfg.probe,
 			Hedge:         cfg.hedge,
 			Logger:        cfg.logger,
@@ -600,12 +555,19 @@ func newClient(topo Topology, tr transport, sh offload.ServerHello, cfg connectC
 
 // sniffTopology decides between cluster and sharded for a multi-address
 // auto target: the first reachable address's handshake tells whether it
-// serves a slice (shard descriptor in the v5 ServerHello) or the whole
-// model.
-func sniffTopology(ctx context.Context, t Target) (Topology, error) {
+// serves a slice (shard descriptor in the ServerHello) or the whole
+// model. Each dial and handshake gives up after dialTimeout, as pooled
+// dials do, so a replica that accepts but never answers is skipped
+// rather than hanging Connect.
+func sniffTopology(ctx context.Context, t Target, dialTimeout time.Duration) (Topology, error) {
+	if dialTimeout <= 0 {
+		dialTimeout = cluster.DefaultDialTimeout
+	}
 	var lastErr error
 	for _, addr := range t.Addrs {
-		c, err := offload.Dial(ctx, t.Network, addr, offload.Hello{Model: t.Model})
+		dctx, cancel := context.WithTimeout(ctx, dialTimeout)
+		c, err := offload.Dial(dctx, t.Network, addr, offload.Hello{Model: t.Model})
+		cancel()
 		if err != nil {
 			if errors.Is(err, ErrTransport) {
 				lastErr = err

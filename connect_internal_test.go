@@ -6,7 +6,9 @@ package privehd
 
 import (
 	"context"
+	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,5 +94,51 @@ func TestConnectSingleIOTimeoutDefault(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestSniffTopologyDialBounded(t *testing.T) {
+	// An auto multi-address target sniffs the first reachable replica's
+	// handshake. Replicas that accept but never answer must each cost at
+	// most the dial timeout, as a pooled dial does, not hang Connect for
+	// as long as the caller's context allows.
+	var mu sync.Mutex
+	var held []net.Conn
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			for {
+				c, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				held = append(held, c)
+				mu.Unlock()
+			}
+		}()
+		addrs = append(addrs, lis.Addr().String())
+	}
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := sniffTopology(ctx, Target{Network: "tcp", Addrs: addrs}, 200*time.Millisecond)
+	if !errors.Is(err, ErrTransport) {
+		t.Errorf("err = %v, want ErrTransport", err)
+	}
+	if elapsed := time.Since(start); elapsed >= 2*time.Second {
+		t.Errorf("sniffing two silent replicas took %v, want well under 2s with a 200ms dial timeout", elapsed)
 	}
 }

@@ -116,9 +116,9 @@
 // pipelined connections to one address — dial-on-demand, idle reaping,
 // redial with backoff, and one transparent retry of idempotent queries on
 // transport failure. A cluster serves one model from many replica
-// addresses: least-in-flight or round-robin balancing over per-replica
-// pools, ejection of replicas whose transport fails, periodic health
-// probes that re-admit them, and transparent failover — callers only see
+// addresses: least-in-flight balancing over per-replica pools, ejection
+// of replicas whose transport fails, periodic health probes that re-admit
+// them, and transparent failover — callers only see
 // ErrNoHealthyReplicas when the whole fleet is down, or a typed protocol
 // error a live server actually answered:
 //

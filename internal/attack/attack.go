@@ -10,7 +10,6 @@ package attack
 
 import (
 	"fmt"
-	"math"
 
 	"privehd/internal/hdc"
 	"privehd/internal/vecmath"
@@ -72,54 +71,6 @@ func DecodeScaled(enc hdc.BaseProvider, h []float64) ([]float64, error) {
 	return raw, nil
 }
 
-// LevelDecoder reconstructs inputs from level-based (Eq. 2b) encodings.
-// The paper notes the Eq. 10 attack "can easily be adjusted to the other HD
-// encodings": for Eq. 2b the adversary scores every level ℓ of feature m by
-// projecting onto ~L_ℓ ⊙ ~B_m and picks the argmax.
-type LevelDecoder struct {
-	enc *hdc.LevelEncoder
-	// products[m][l] is the precomputed ±1 float product L_l ⊙ B_m.
-	products [][][]float64
-}
-
-// NewLevelDecoder precomputes the projection vectors for every
-// (feature, level) pair. Memory cost is Features×Levels×Dim float64s;
-// callers working at full scale should prefer modest Levels.
-func NewLevelDecoder(enc *hdc.LevelEncoder) *LevelDecoder {
-	products := make([][][]float64, enc.NumFeatures())
-	for m := range products {
-		base := enc.Base(m)
-		products[m] = make([][]float64, enc.Levels())
-		for l := range products[m] {
-			lvl := enc.LevelVector(l)
-			p := make([]float64, enc.Dim())
-			for j := range p {
-				p[j] = lvl[j] * base[j]
-			}
-			products[m][l] = p
-		}
-	}
-	return &LevelDecoder{enc: enc, products: products}
-}
-
-// Decode returns the most likely level value (in [0,1]) for every feature
-// of the encoded hypervector h.
-func (d *LevelDecoder) Decode(h []float64) ([]float64, error) {
-	if len(h) != d.enc.Dim() {
-		return nil, fmt.Errorf("attack: encoded dim %d, encoder dim %d", len(h), d.enc.Dim())
-	}
-	levels := d.enc.Levels()
-	out := make([]float64, d.enc.NumFeatures())
-	scores := make([]float64, levels)
-	for m := range out {
-		for l := 0; l < levels; l++ {
-			scores[l] = vecmath.Dot(h, d.products[m][l])
-		}
-		out[m] = hdc.LevelValue(vecmath.ArgMax(scores), levels)
-	}
-	return out, nil
-}
-
 // ModelDifference mounts the §III-A membership attack: given two models
 // trained on adjacent datasets (D2 = D1 + one record), the per-class
 // difference of class hypervectors isolates the missing record's encoding,
@@ -166,27 +117,4 @@ func Measure(truth, recon []float64) ReconstructionError {
 		MSE:  vecmath.MSE(truth, recon),
 		PSNR: vecmath.PSNR(truth, recon, 1),
 	}
-}
-
-// MeasureBatch averages reconstruction MSE and PSNR over a batch; PSNR is
-// computed from the averaged MSE (matching how image papers aggregate).
-func MeasureBatch(truths, recons [][]float64) ReconstructionError {
-	if len(truths) != len(recons) {
-		panic("attack: MeasureBatch length mismatch")
-	}
-	if len(truths) == 0 {
-		return ReconstructionError{}
-	}
-	var mse float64
-	for i := range truths {
-		mse += vecmath.MSE(truths[i], recons[i])
-	}
-	mse /= float64(len(truths))
-	out := ReconstructionError{MSE: mse}
-	if mse == 0 {
-		out.PSNR = math.Inf(1)
-	} else {
-		out.PSNR = 10 * math.Log10(1/mse)
-	}
-	return out
 }

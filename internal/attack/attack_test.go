@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"math"
 	"testing"
 
 	"privehd/internal/hdc"
@@ -142,41 +141,6 @@ func TestMaskingDegradesReconstructionFurther(t *testing.T) {
 	}
 }
 
-func TestLevelDecoderRecovers(t *testing.T) {
-	cfg := hdc.Config{Dim: 6000, Features: 30, Levels: 8, Seed: 10}
-	enc, err := hdc.NewLevelEncoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	features := randomFeatures(11, cfg.Features)
-	h := enc.Encode(features)
-	dec := NewLevelDecoder(enc)
-	recon, err := dec.Decode(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truth: the level values actually encoded.
-	exact := 0
-	for m, v := range features {
-		want := hdc.LevelValue(hdc.LevelIndex(v, cfg.Levels), cfg.Levels)
-		if math.Abs(recon[m]-want) < 1e-9 {
-			exact++
-		}
-	}
-	if exact < cfg.Features*9/10 {
-		t.Errorf("level decoder recovered %d/%d features exactly, want ≥90%%", exact, cfg.Features)
-	}
-}
-
-func TestLevelDecoderDimensionCheck(t *testing.T) {
-	cfg := hdc.Config{Dim: 100, Features: 4, Levels: 4, Seed: 12}
-	enc, _ := hdc.NewLevelEncoder(cfg)
-	dec := NewLevelDecoder(enc)
-	if _, err := dec.Decode(make([]float64, 3)); err == nil {
-		t.Error("expected dimension error")
-	}
-}
-
 func TestModelDifferenceRecoversMissingRecord(t *testing.T) {
 	// The §III-A membership attack end-to-end: train two models differing
 	// by one record; the class-difference must be that record's encoding,
@@ -234,23 +198,6 @@ func TestModelDifferenceGeometryCheck(t *testing.T) {
 	b := hdc.NewModel(3, 10)
 	if _, _, err := ModelDifference(a, b); err == nil {
 		t.Error("expected geometry error")
-	}
-}
-
-func TestMeasureBatch(t *testing.T) {
-	truths := [][]float64{{0, 0}, {1, 1}}
-	recons := [][]float64{{0, 0}, {0, 0}}
-	got := MeasureBatch(truths, recons)
-	if math.Abs(got.MSE-0.5) > 1e-12 {
-		t.Errorf("MSE = %v, want 0.5", got.MSE)
-	}
-	perfect := MeasureBatch(truths, truths)
-	if !math.IsInf(perfect.PSNR, 1) {
-		t.Errorf("perfect PSNR = %v, want +Inf", perfect.PSNR)
-	}
-	empty := MeasureBatch(nil, nil)
-	if empty.MSE != 0 {
-		t.Errorf("empty MSE = %v", empty.MSE)
 	}
 }
 

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -29,33 +28,6 @@ func RenderASCII(pixels []float64, width int) string {
 		}
 	}
 	return b.String()
-}
-
-// WritePGM writes a normalized [0,1] image as a binary 8-bit PGM, the
-// simplest portable grayscale format — handy for inspecting
-// reconstructions outside the terminal. Values clamp to [0,1].
-func WritePGM(w io.Writer, pixels []float64, width, height int) error {
-	if width <= 0 || height <= 0 || len(pixels) != width*height {
-		return fmt.Errorf("attack: WritePGM geometry %dx%d does not match %d pixels",
-			width, height, len(pixels))
-	}
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", width, height); err != nil {
-		return fmt.Errorf("attack: writing PGM header: %w", err)
-	}
-	buf := make([]byte, len(pixels))
-	for i, p := range pixels {
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-		buf[i] = byte(p*255 + 0.5)
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("attack: writing PGM pixels: %w", err)
-	}
-	return nil
 }
 
 // SideBySide joins two equal-height ASCII renderings with a gutter, for

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -32,28 +31,6 @@ func TestRenderASCIIBadGeometry(t *testing.T) {
 	got := RenderASCII([]float64{1, 2, 3}, 2)
 	if !strings.Contains(got, "unrenderable") {
 		t.Errorf("bad geometry should yield a marker, got %q", got)
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, []float64{0, 0.5, 1, 0.25}, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasPrefix(out, []byte("P5\n2 2\n255\n")) {
-		t.Errorf("bad header: %q", out[:12])
-	}
-	pix := out[len(out)-4:]
-	if pix[0] != 0 || pix[2] != 255 {
-		t.Errorf("pixels = %v", pix)
-	}
-}
-
-func TestWritePGMGeometryError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, []float64{1}, 2, 2); err == nil {
-		t.Error("expected geometry error")
 	}
 }
 

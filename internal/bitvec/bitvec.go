@@ -170,27 +170,6 @@ func Cosine(a, b *Vector) float64 {
 	return float64(Dot(a, b)) / float64(a.n)
 }
 
-// AccumulateInto adds the bipolar values of v into the float accumulator
-// acc (acc[i] += ±1). This is the bundling step of paper Eq. 3 when the
-// encodings are sign-quantized. Panics on length mismatch.
-func (v *Vector) AccumulateInto(acc []float64) {
-	if len(acc) != v.n {
-		panic("bitvec: AccumulateInto length mismatch")
-	}
-	for w, word := range v.words {
-		base := w * 64
-		limit := v.n - base
-		if limit > 64 {
-			limit = 64
-		}
-		chunk := acc[base : base+limit]
-		for b := range chunk {
-			// Branch-free ±1: bit → {1, -1}.
-			chunk[b] += float64(int(word>>uint(b)&1)<<1 - 1)
-		}
-	}
-}
-
 // AccumulateXnorInto adds the element-wise bipolar product a⊙b into acc
 // without materializing the intermediate vector: acc[i] += a[i]·b[i]. This
 // fused form is the hot loop of the Eq. 2b encoder. Panics on length
@@ -211,62 +190,6 @@ func AccumulateXnorInto(a, b *Vector, acc []float64) {
 			chunk[i] += float64(int(word>>uint(i)&1)<<1 - 1)
 		}
 	}
-}
-
-// Rotate returns v cyclically shifted by k coordinates (coordinate j moves
-// to (j+k) mod D). This is the permutation ρ^k used by sequence encoders to
-// bind positions; rotation preserves norms and pairwise distances, and
-// rotations of independent vectors remain near-orthogonal. Negative k
-// rotates the other way.
-func Rotate(v *Vector, k int) *Vector {
-	n := v.n
-	if n == 0 {
-		return v.Clone()
-	}
-	k = ((k % n) + n) % n
-	if k == 0 {
-		return v.Clone()
-	}
-	out := New(n)
-	for j := 0; j < n; j++ {
-		if v.Get(j) {
-			out.Set((j+k)%n, true)
-		}
-	}
-	return out
-}
-
-// Majority returns the element-wise exact majority of the given vectors:
-// out[i] = sign(Σ_k vs[k][i]), with ties broken toward +1 when tieUp is
-// true and toward −1 otherwise. The FPGA package approximates this circuit;
-// this function is the behavioral reference. Panics if vs is empty or the
-// dimensions differ.
-func Majority(vs []*Vector, tieUp bool) *Vector {
-	if len(vs) == 0 {
-		panic("bitvec: Majority of zero vectors")
-	}
-	n := vs[0].n
-	out := New(n)
-	for i := 0; i < n; i++ {
-		sum := 0
-		for _, v := range vs {
-			if v.n != n {
-				panic("bitvec: Majority dimension mismatch")
-			}
-			if v.Get(i) {
-				sum++
-			} else {
-				sum--
-			}
-		}
-		switch {
-		case sum > 0:
-			out.Set(i, true)
-		case sum == 0 && tieUp:
-			out.Set(i, true)
-		}
-	}
-	return out
 }
 
 // String renders small vectors as a +/- pattern for debugging; longer

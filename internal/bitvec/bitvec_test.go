@@ -204,18 +204,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestAccumulateInto(t *testing.T) {
-	v := FromFloats([]float64{1, -1, 1})
-	acc := []float64{10, 10, 10}
-	v.AccumulateInto(acc)
-	want := []float64{11, 9, 11}
-	for i := range want {
-		if acc[i] != want[i] {
-			t.Fatalf("acc = %v, want %v", acc, want)
-		}
-	}
-}
-
 func TestAccumulateXnorIntoMatchesXnor(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 21))
@@ -227,7 +215,10 @@ func TestAccumulateXnorIntoMatchesXnor(t *testing.T) {
 			acc[i] = rng.NormFloat64()
 		}
 		want := append([]float64(nil), acc...)
-		Xnor(a, b).AccumulateInto(want)
+		x := Xnor(a, b)
+		for i := range want {
+			want[i] += x.Sign(i)
+		}
 		AccumulateXnorInto(a, b, acc)
 		for i := range acc {
 			if acc[i] != want[i] {
@@ -248,117 +239,6 @@ func TestAccumulateXnorIntoPanics(t *testing.T) {
 		}
 	}()
 	AccumulateXnorInto(New(3), New(3), make([]float64, 2))
-}
-
-func TestMajorityExact(t *testing.T) {
-	vs := []*Vector{
-		FromFloats([]float64{1, 1, -1, -1}),
-		FromFloats([]float64{1, -1, -1, 1}),
-		FromFloats([]float64{1, 1, -1, -1}),
-	}
-	got := Majority(vs, true).Floats()
-	want := []float64{1, 1, -1, -1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Majority = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMajorityTieBreak(t *testing.T) {
-	vs := []*Vector{
-		FromFloats([]float64{1, -1}),
-		FromFloats([]float64{-1, 1}),
-	}
-	up := Majority(vs, true)
-	if !up.Get(0) || !up.Get(1) {
-		t.Error("tieUp=true should resolve ties to +1")
-	}
-	down := Majority(vs, false)
-	if down.Get(0) || down.Get(1) {
-		t.Error("tieUp=false should resolve ties to −1")
-	}
-}
-
-func TestMajorityMatchesFloatSign(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 8))
-		n := 1 + rng.IntN(100)
-		k := 1 + 2*rng.IntN(5) // odd count: no ties
-		vs := make([]*Vector, k)
-		for i := range vs {
-			vs[i] = randomVector(rng, n)
-		}
-		maj := Majority(vs, true)
-		for i := 0; i < n; i++ {
-			var sum float64
-			for _, v := range vs {
-				sum += v.Sign(i)
-			}
-			want := sum > 0
-			if maj.Get(i) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRotate(t *testing.T) {
-	v := FromFloats([]float64{1, -1, -1, -1})
-	r := Rotate(v, 1)
-	want := []float64{-1, 1, -1, -1}
-	for i, w := range want {
-		if r.Sign(i) != w {
-			t.Fatalf("Rotate(1) = %v, want %v", r.Floats(), want)
-		}
-	}
-	// Negative rotation is the inverse.
-	back := Rotate(r, -1)
-	if Hamming(v, back) != 0 {
-		t.Error("Rotate(-1) did not invert Rotate(1)")
-	}
-	// Full-cycle rotation is the identity.
-	if Hamming(v, Rotate(v, 4)) != 0 {
-		t.Error("Rotate(n) should be identity")
-	}
-	// Zero-length vector.
-	z := Rotate(New(0), 3)
-	if z.Len() != 0 {
-		t.Error("Rotate of empty vector")
-	}
-}
-
-func TestRotatePreservesStructure(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 31))
-		n := 1 + rng.IntN(200)
-		k := rng.IntN(3*n) - n
-		a := randomVector(rng, n)
-		b := randomVector(rng, n)
-		ra, rb := Rotate(a, k), Rotate(b, k)
-		// Rotation preserves popcount and pairwise dot products.
-		return ra.PopCount() == a.PopCount() && Dot(ra, rb) == Dot(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRotateComposition(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 37))
-		n := 1 + rng.IntN(150)
-		j, k := rng.IntN(n), rng.IntN(n)
-		v := randomVector(rng, n)
-		return Hamming(Rotate(Rotate(v, j), k), Rotate(v, j+k)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestString(t *testing.T) {

@@ -16,10 +16,10 @@
 //     classification is idempotent, so the retry is safe.
 //
 //   - Cluster balances operations across a set of replica addresses, each
-//     behind its own Pool: least-in-flight (default) or round-robin
-//     selection, ejection of a replica on transport failure, periodic
-//     lightweight health probes that re-admit it once it answers the
-//     handshake again, and transparent failover — an operation that dies
+//     behind its own Pool: least-in-flight selection, ejection of a
+//     replica on transport failure, periodic lightweight health probes
+//     that re-admit it once it answers the handshake again, and
+//     transparent failover — an operation that dies
 //     with a replica is retried on the next one, so callers only see an
 //     error when every distinct replica has failed (ErrNoHealthyReplicas)
 //     or a live server answered with a typed protocol error.
@@ -47,18 +47,9 @@ const (
 	// DefaultSize is the largest number of connections a Pool keeps to its
 	// address.
 	DefaultSize = 4
-	// DefaultMaxInFlightPerConn is how many requests may be outstanding on
-	// one connection before the pool prefers dialing another (pipelining
-	// means a connection is never blocked, but spreading load shortens
-	// per-reply latency under bursts).
-	DefaultMaxInFlightPerConn = 32
 	// DefaultIOTimeout bounds reply progress on pooled connections; a
 	// negative PoolConfig.IOTimeout disables the bound.
 	DefaultIOTimeout = 30 * time.Second
-	// DefaultIdleTimeout is how long an unused connection may linger
-	// before the reaper closes it; a negative PoolConfig.IdleTimeout
-	// disables reaping.
-	DefaultIdleTimeout = 90 * time.Second
 	// DefaultDialTimeout bounds one connection attempt.
 	DefaultDialTimeout = 5 * time.Second
 	// DefaultMaxBackoff caps the exponential redial backoff.
@@ -66,6 +57,14 @@ const (
 
 	// backoffBase seeds the exponential redial backoff.
 	backoffBase = 50 * time.Millisecond
+	// maxInFlightPerConn is how many requests may be outstanding on one
+	// connection before the pool prefers dialing another (pipelining
+	// means a connection is never blocked, but spreading load shortens
+	// per-reply latency under bursts).
+	maxInFlightPerConn = 32
+	// idleTimeout is how long an unused connection may linger before the
+	// reaper closes it.
+	idleTimeout = 90 * time.Second
 )
 
 // ErrPoolClosed reports an operation on a closed Pool (or Cluster). It
@@ -79,7 +78,7 @@ var ErrPoolClosed = fmt.Errorf("%w: pool closed", offload.ErrTransport)
 var ErrNoHealthyReplicas = fmt.Errorf("%w: no healthy replica available", offload.ErrTransport)
 
 // PoolConfig configures a Pool. Zero fields take the defaults above;
-// IOTimeout and IdleTimeout use negative values to mean "disabled".
+// IOTimeout uses a negative value to mean "disabled".
 type PoolConfig struct {
 	// Network and Addr locate the server ("tcp", "host:port").
 	Network string
@@ -89,13 +88,8 @@ type PoolConfig struct {
 	Hello offload.Hello
 	// Size bounds how many connections the pool keeps.
 	Size int
-	// MaxInFlightPerConn is the saturation point past which the pool
-	// prefers opening another connection.
-	MaxInFlightPerConn int
 	// IOTimeout is handed to every connection as offload.WithIOTimeout.
 	IOTimeout time.Duration
-	// IdleTimeout is how long an unused connection survives.
-	IdleTimeout time.Duration
 	// DialTimeout bounds each connection attempt.
 	DialTimeout time.Duration
 	// MaxBackoff caps the exponential backoff between failed dials.
@@ -113,20 +107,11 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Size <= 0 {
 		c.Size = DefaultSize
 	}
-	if c.MaxInFlightPerConn <= 0 {
-		c.MaxInFlightPerConn = DefaultMaxInFlightPerConn
-	}
 	switch {
 	case c.IOTimeout == 0:
 		c.IOTimeout = DefaultIOTimeout
 	case c.IOTimeout < 0:
 		c.IOTimeout = 0
-	}
-	switch {
-	case c.IdleTimeout == 0:
-		c.IdleTimeout = DefaultIdleTimeout
-	case c.IdleTimeout < 0:
-		c.IdleTimeout = 0
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = DefaultDialTimeout
@@ -177,12 +162,13 @@ type Pool struct {
 // dialed until the first operation (use Hello to dial eagerly). Close it
 // when done.
 func NewPool(cfg PoolConfig) *Pool {
-	p := &Pool{cfg: cfg.withDefaults(), changed: make(chan struct{})}
-	if p.cfg.IdleTimeout > 0 {
-		p.stopReaper = make(chan struct{})
-		p.reaperDone = make(chan struct{})
-		go p.reapLoop()
+	p := &Pool{
+		cfg:        cfg.withDefaults(),
+		changed:    make(chan struct{}),
+		stopReaper: make(chan struct{}),
+		reaperDone: make(chan struct{}),
 	}
+	go p.reapLoop()
 	if p.cfg.PingInterval > 0 {
 		p.stopPinger = make(chan struct{})
 		p.pingerDone = make(chan struct{})
@@ -197,9 +183,6 @@ func (p *Pool) signalChanged() {
 	close(p.changed)
 	p.changed = make(chan struct{})
 }
-
-// Addr returns the pooled server address.
-func (p *Pool) Addr() string { return p.cfg.Addr }
 
 // acquire returns a usable connection with its in-flight count already
 // incremented, dialing a new one when every live connection is saturated
@@ -227,7 +210,7 @@ func (p *Pool) acquireConn(ctx context.Context) (*poolConn, error) {
 		// least-loaded live one. Connections whose server pushed a GoAway
 		// drain notice are set aside: they still carry their in-flight
 		// replies, but new work goes to a fresh connection (or a fresh
-		// dial) whenever one is possible — the point of the v5 drain
+		// dial) whenever one is possible — the point of the drain
 		// notice is that a coordinator stops feeding a replica that is
 		// about to half-close.
 		live := p.conns[:0]
@@ -253,7 +236,7 @@ func (p *Pool) acquireConn(ctx context.Context) (*poolConn, error) {
 			}
 		}
 		room := len(p.conns)+p.dialing < p.cfg.Size
-		if best != nil && (best.inflight < p.cfg.MaxInFlightPerConn || !room) {
+		if best != nil && (best.inflight < maxInFlightPerConn || !room) {
 			best.inflight++
 			best.lastUse = time.Now()
 			p.syncGauges()
@@ -572,14 +555,10 @@ func (p *Pool) resetBackoff() {
 	p.mu.Unlock()
 }
 
-// reapLoop closes connections that sit idle past IdleTimeout.
+// reapLoop closes connections that sit idle past idleTimeout.
 func (p *Pool) reapLoop() {
 	defer close(p.reaperDone)
-	interval := p.cfg.IdleTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(idleTimeout / 4)
 	defer ticker.Stop()
 	for {
 		select {
@@ -591,13 +570,13 @@ func (p *Pool) reapLoop() {
 	}
 }
 
-// reap closes every connection idle since before now−IdleTimeout.
+// reap closes every connection idle since before now−idleTimeout.
 func (p *Pool) reap(now time.Time) {
 	p.mu.Lock()
 	live := p.conns[:0]
 	var idle []*poolConn
 	for _, pc := range p.conns {
-		if pc.inflight == 0 && now.Sub(pc.lastUse) > p.cfg.IdleTimeout {
+		if pc.inflight == 0 && now.Sub(pc.lastUse) > idleTimeout {
 			idle = append(idle, pc)
 			continue
 		}
@@ -623,10 +602,8 @@ func (p *Pool) Close() error {
 	p.syncGauges()
 	p.signalChanged()
 	p.mu.Unlock()
-	if p.stopReaper != nil {
-		close(p.stopReaper)
-		<-p.reaperDone
-	}
+	close(p.stopReaper)
+	<-p.reaperDone
 	if p.stopPinger != nil {
 		close(p.stopPinger)
 		<-p.pingerDone
@@ -634,17 +611,6 @@ func (p *Pool) Close() error {
 	closeAll(conns)
 	return nil
 }
-
-// Policy selects how a Cluster spreads operations over healthy replicas.
-type Policy int
-
-const (
-	// LeastInFlight picks the healthy replica with the fewest outstanding
-	// operations — adaptive to replicas of unequal speed.
-	LeastInFlight Policy = iota
-	// RoundRobin cycles through healthy replicas in order.
-	RoundRobin
-)
 
 // ClusterConfig configures a Cluster.
 type ClusterConfig struct {
@@ -657,8 +623,6 @@ type ClusterConfig struct {
 	// Pool is the per-replica pool template; Network/Addr/Hello are
 	// overridden per replica.
 	Pool PoolConfig
-	// Policy selects the balancing strategy (default LeastInFlight).
-	Policy Policy
 	// ProbeInterval is how often unreachable replicas are re-probed (and
 	// healthy ones lightly verified). Default 2s; negative disables
 	// probing (ejected replicas then only recover via the all-unhealthy
@@ -698,9 +662,6 @@ type Cluster struct {
 	cfg      ClusterConfig
 	log      *slog.Logger
 	replicas []*replica
-
-	rrMu sync.Mutex
-	rr   uint64
 
 	// Adaptive hedge-delay state: a ring of recent per-attempt latencies
 	// and the cached ~p90 the hedge timer reads (see resilience.go).
@@ -752,9 +713,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// pick selects the next replica to try, preferring healthy ones and
-// falling back to ejected ones when nothing healthy remains (a dead
-// cluster heals faster through traffic than through probes alone).
+// pick selects the next replica to try: the one with the fewest
+// outstanding operations (adaptive to replicas of unequal speed),
+// preferring healthy ones and falling back to ejected ones when nothing
+// healthy remains (a dead cluster heals faster through traffic than
+// through probes alone).
 func (cl *Cluster) pick(tried map[*replica]bool) *replica {
 	var candidates []*replica
 	for _, r := range cl.replicas {
@@ -772,23 +735,14 @@ func (cl *Cluster) pick(tried map[*replica]bool) *replica {
 	if len(candidates) == 0 {
 		return nil
 	}
-	switch cl.cfg.Policy {
-	case RoundRobin:
-		cl.rrMu.Lock()
-		idx := cl.rr
-		cl.rr++
-		cl.rrMu.Unlock()
-		return candidates[idx%uint64(len(candidates))]
-	default: // LeastInFlight
-		best := candidates[0]
-		bestLoad := best.pool.InFlight()
-		for _, r := range candidates[1:] {
-			if load := r.pool.InFlight(); load < bestLoad {
-				best, bestLoad = r, load
-			}
+	best := candidates[0]
+	bestLoad := best.pool.InFlight()
+	for _, r := range candidates[1:] {
+		if load := r.pool.InFlight(); load < bestLoad {
+			best, bestLoad = r, load
 		}
-		return best
 	}
+	return best
 }
 
 // do runs one idempotent operation with failover: a replica whose
@@ -938,26 +892,6 @@ func (cl *Cluster) minDialBackoffLeft() time.Duration {
 		}
 	}
 	return min
-}
-
-// Do runs op on some healthy replica with the cluster's usual failover
-// discipline: transport failures eject the replica and move on, typed
-// protocol errors return immediately. It exists for callers composing
-// operations the facade doesn't cover — the shard coordinator retries a
-// missing shard's partial scores through exactly this path.
-func (cl *Cluster) Do(ctx context.Context, op func(*Pool) error) error {
-	return cl.do(ctx, op)
-}
-
-// HealthyCount returns how many replicas are currently believed healthy.
-func (cl *Cluster) HealthyCount() int {
-	n := 0
-	for _, r := range cl.replicas {
-		if r.isHealthy() {
-			n++
-		}
-	}
-	return n
 }
 
 // Hello returns the accepted handshake of the first replica that answers.

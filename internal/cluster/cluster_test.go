@@ -214,7 +214,7 @@ func TestPoolReapsIdleConns(t *testing.T) {
 	rep := startReplica(t, dim)
 	p := NewPool(PoolConfig{
 		Network: "tcp", Addr: rep.addr, Hello: offload.Hello{Dim: dim},
-		Size: 4, IdleTimeout: 50 * time.Millisecond,
+		Size: 4,
 	})
 	defer p.Close()
 	if _, _, err := p.Classify(context.Background(), classQuery(dim, 0)); err != nil {
@@ -223,12 +223,15 @@ func TestPoolReapsIdleConns(t *testing.T) {
 	if st := p.Status(); st.Conns == 0 {
 		t.Fatal("no conn after a classify")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Status().Conns != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle conns never reaped: %+v", p.Status())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// A reap just inside the idle window keeps the connection; one past
+	// it closes every idle connection.
+	p.reap(time.Now().Add(idleTimeout / 2))
+	if st := p.Status(); st.Conns == 0 {
+		t.Fatal("connection reaped before it sat idle for idleTimeout")
+	}
+	p.reap(time.Now().Add(idleTimeout + time.Second))
+	if st := p.Status(); st.Conns != 0 {
+		t.Fatalf("idle conns not reaped past idleTimeout: %+v", st)
 	}
 	// The pool still works after reaping down to zero.
 	if _, _, err := p.Classify(context.Background(), classQuery(dim, 1)); err != nil {
@@ -456,31 +459,46 @@ func assertOutOfOrder(t *testing.T, addr string, dim int) {
 }
 
 func TestClusterBalancesAcrossReplicas(t *testing.T) {
+	// Least-in-flight routing: while a call is held in flight on one
+	// replica, every new call goes to the others.
 	const dim = 32
 	reps := []*testReplica{startReplica(t, dim), startReplica(t, dim), startReplica(t, dim)}
 	cl, err := NewCluster(ClusterConfig{
 		Network: "tcp",
 		Addrs:   []string{reps[0].addr, reps[1].addr, reps[2].addr},
 		Hello:   offload.Hello{Dim: dim},
-		Policy:  RoundRobin,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	const n = 60
-	for i := 0; i < n; i++ {
-		if _, _, err := cl.Classify(context.Background(), classQuery(dim, 0)); err != nil {
+	const n = 20
+	for held, r := range cl.replicas {
+		pc, err := r.pool.acquire(context.Background())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, r := range reps {
-		if r.Served() == 0 {
-			t.Errorf("replica %d served nothing under round-robin", i)
+		before := make([]int, len(reps))
+		for i, rep := range reps {
+			before[i] = rep.Served()
 		}
-	}
-	if got := reps[0].Served() + reps[1].Served() + reps[2].Served(); got != n {
-		t.Errorf("served %d total, want %d", got, n)
+		for i := 0; i < n; i++ {
+			if _, _, err := cl.Classify(context.Background(), classQuery(dim, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.pool.release(pc, nil)
+		total := 0
+		for i, rep := range reps {
+			got := rep.Served() - before[i]
+			if i == held && got != 0 {
+				t.Errorf("replica %d served %d calls while it held the only in-flight call", i, got)
+			}
+			total += got
+		}
+		if total != n {
+			t.Errorf("held replica %d: served %d total, want %d", held, total, n)
+		}
 	}
 }
 

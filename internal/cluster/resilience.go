@@ -117,19 +117,13 @@ func failoverPause(attempt int) time.Duration {
 	return jitterBackoff(d)
 }
 
-// Circuit-breaker tuning. The defaults deliberately reproduce the
-// pre-breaker behavior on the first failure (trip immediately, re-admit on
-// the next successful probe) and only add friction to *flapping*: every
-// reopen doubles the probe-readmission cooldown, so a replica that keeps
-// dying right after re-admission is probed back in less and less eagerly,
-// while steady recovery resets the ladder.
+// Circuit-breaker tuning. Every failure on a closed breaker trips it
+// (eject on the first failure, re-admit on the next successful probe);
+// the breaker only adds friction to *flapping*: every reopen doubles the
+// probe-readmission cooldown, so a replica that keeps dying right after
+// re-admission is probed back in less and less eagerly, while steady
+// recovery resets the ladder.
 const (
-	// breakerWindow is how many recent attempt outcomes the error-rate
-	// trip condition looks at.
-	breakerWindow = 16
-	// breakerRate is the error rate over a full window that trips the
-	// breaker even when failures never run consecutively.
-	breakerRate = 0.5
 	// breakerCooldownBase is the probe-readmission cooldown after the
 	// first reopen (the first open has no cooldown at all).
 	breakerCooldownBase = 250 * time.Millisecond
@@ -159,11 +153,7 @@ type breaker struct {
 
 	mu       sync.Mutex
 	state    breakerState
-	consec   int // consecutive failures while closed
 	streak   int // consecutive successes (any state)
-	window   [breakerWindow]bool
-	wIdx     int
-	wLen     int
 	openedAt time.Time
 	cooldown time.Duration
 	reopens  int
@@ -184,14 +174,9 @@ func (b *breaker) setState(s breakerState) {
 func (b *breaker) recordSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.consec = 0
 	b.streak++
-	b.pushOutcome(false)
 	if b.state != breakerClosed {
 		b.setState(breakerClosed)
-		// Re-admission resets the window: failures from before the
-		// outage must not instantly re-trip the error-rate condition.
-		b.wLen, b.wIdx = 0, 0
 	}
 	if b.streak >= breakerStableAfter {
 		b.reopens = 0
@@ -200,26 +185,17 @@ func (b *breaker) recordSuccess() {
 }
 
 // recordFailure registers one failed attempt and reports whether it
-// tripped the breaker open (the caller ejects the replica exactly then).
+// tripped the breaker open (the caller ejects the replica exactly then):
+// any failure on a closed or half-open breaker trips it.
 func (b *breaker) recordFailure(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.streak = 0
-	b.consec++
-	b.pushOutcome(true)
-	switch b.state {
-	case breakerOpen:
-		return false
-	case breakerHalfOpen:
-		b.open(now)
-		return true
-	default:
-		if b.consec >= 1 || b.rateTripped() {
-			b.open(now)
-			return true
-		}
+	if b.state == breakerOpen {
 		return false
 	}
+	b.open(now)
+	return true
 }
 
 // open trips the breaker, escalating the cooldown ladder: the first open
@@ -259,30 +235,6 @@ func (b *breaker) ready(now time.Time) bool {
 	default:
 		return true
 	}
-}
-
-// pushOutcome records one attempt in the error-rate ring. Caller holds mu.
-func (b *breaker) pushOutcome(failed bool) {
-	b.window[b.wIdx] = failed
-	b.wIdx = (b.wIdx + 1) % breakerWindow
-	if b.wLen < breakerWindow {
-		b.wLen++
-	}
-}
-
-// rateTripped reports whether a full window's error rate crossed the trip
-// threshold. Caller holds mu.
-func (b *breaker) rateTripped() bool {
-	if b.wLen < breakerWindow {
-		return false
-	}
-	failed := 0
-	for _, f := range b.window {
-		if f {
-			failed++
-		}
-	}
-	return float64(failed) >= breakerRate*float64(breakerWindow)
 }
 
 // currentState returns the state for snapshots.

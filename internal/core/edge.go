@@ -70,9 +70,6 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 // Encoder exposes the underlying encoder (shared setup with the cloud).
 func (e *Edge) Encoder() hdc.Encoder { return e.encoder }
 
-// Mask returns the query mask, or nil when masking is off.
-func (e *Edge) Mask() *prune.Mask { return e.mask }
-
 // Prepare returns the obfuscated query hypervector for one input — what
 // actually crosses the network. A quantizing edge with an engine-backed
 // encoder derives the 1-bit query on the fused bit-sliced path (sign bits

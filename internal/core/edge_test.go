@@ -60,7 +60,7 @@ func TestEdgePrepareMasks(t *testing.T) {
 	if zeros != 1000 {
 		t.Errorf("masked zeros = %d, want 1000", zeros)
 	}
-	if e.Mask() == nil || e.Mask().Kept() != 2000 {
+	if e.mask == nil || e.mask.Kept() != 2000 {
 		t.Error("mask accessor wrong")
 	}
 }

@@ -138,7 +138,7 @@ func TestEdgePrepareFusedMatchesReference(t *testing.T) {
 			X, _ := fastPathData(21)
 			for i, x := range X[:8] {
 				want := quant.Bipolar{}.Quantize(e.Encoder().Encode(x))
-				if m := e.Mask(); m != nil {
+				if m := e.mask; m != nil {
 					m.Apply(want)
 				}
 				got := e.Prepare(x)

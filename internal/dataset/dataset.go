@@ -20,8 +20,6 @@ package dataset
 
 import (
 	"fmt"
-
-	"privehd/internal/hrand"
 )
 
 // Dataset is a self-contained train/test classification task with
@@ -113,26 +111,6 @@ func (d *Dataset) Subset(fraction float64) *Dataset {
 			out.TrainY = append(out.TrainY, c)
 		}
 	}
-	return out
-}
-
-// Shuffled returns a copy of d with the training split reordered by the
-// given source. Sample slices are shared, not copied.
-func (d *Dataset) Shuffled(src *hrand.Source) *Dataset {
-	out := &Dataset{
-		Name:       d.Name,
-		Features:   d.Features,
-		Classes:    d.Classes,
-		TrainX:     append([][]float64(nil), d.TrainX...),
-		TrainY:     append([]int(nil), d.TrainY...),
-		TestX:      d.TestX,
-		TestY:      d.TestY,
-		ImageWidth: d.ImageWidth,
-	}
-	src.Shuffle(len(out.TrainX), func(i, j int) {
-		out.TrainX[i], out.TrainX[j] = out.TrainX[j], out.TrainX[i]
-		out.TrainY[i], out.TrainY[j] = out.TrainY[j], out.TrainY[i]
-	})
 	return out
 }
 

@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"testing"
-
-	"privehd/internal/hrand"
 )
 
 func TestGaussianGeometry(t *testing.T) {
@@ -215,64 +213,29 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestShuffled(t *testing.T) {
-	d, err := Gaussian(GaussianSpec{
-		Name: "shuf", Features: 4, Classes: 2, TrainPer: 20, TestPer: 2,
-		Separation: 0.05, Noise: 0.1, Seed: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := d.Shuffled(hrand.New(13))
-	if len(s.TrainX) != len(d.TrainX) {
-		t.Fatal("shuffle changed size")
-	}
-	// Same multiset of labels.
-	if got, want := s.ClassCounts(), d.ClassCounts(); got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("shuffle changed label counts: %v vs %v", got, want)
-	}
-	// Original untouched (train order differs with overwhelming probability).
-	moved := false
-	for i := range d.TrainY {
-		if d.TrainY[i] != s.TrainY[i] {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Log("shuffle produced identity permutation (unlikely but legal)")
-	}
-}
-
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"isolet-s", "face-s", "mnist-s"} {
-		d, err := ByName(name, Small)
+	// Every workload validates and has its paper geometry.
+	for _, want := range []struct {
+		name              string
+		features, classes int
+	}{
+		{"isolet-s", 617, 26},
+		{"face-s", 608, 2},
+		{"mnist-s", 784, 10},
+	} {
+		d, err := ByName(want.name, Small)
 		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
+			t.Fatalf("ByName(%s): %v", want.name, err)
 		}
 		if err := d.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", name, err)
+			t.Errorf("%s invalid: %v", want.name, err)
+		}
+		if d.Features != want.features || d.Classes != want.classes {
+			t.Errorf("%s geometry = (%d, %d)", want.name, d.Features, d.Classes)
 		}
 	}
 	if _, err := ByName("nope", Small); err == nil {
 		t.Error("unknown name should fail")
-	}
-	all, err := Standard(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Errorf("Standard returned %d datasets", len(all))
-	}
-	// Paper geometries.
-	if all[0].Features != 617 || all[0].Classes != 26 {
-		t.Errorf("isolet-s geometry = (%d, %d)", all[0].Features, all[0].Classes)
-	}
-	if all[1].Features != 608 || all[1].Classes != 2 {
-		t.Errorf("face-s geometry = (%d, %d)", all[1].Features, all[1].Classes)
-	}
-	if all[2].Features != 784 || all[2].Classes != 10 {
-		t.Errorf("mnist-s geometry = (%d, %d)", all[2].Features, all[2].Classes)
 	}
 }
 

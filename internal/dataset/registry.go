@@ -88,20 +88,6 @@ func ByName(name string, s Scale) (*Dataset, error) {
 	return nil, fmt.Errorf("dataset: unknown workload %q (valid: isolet-s, face-s, mnist-s)", name)
 }
 
-// Standard returns all three paper workloads at the given scale, in the
-// order the paper tabulates them (ISOLET, FACE, MNIST).
-func Standard(s Scale) ([]*Dataset, error) {
-	var out []*Dataset
-	for _, name := range []string{"isolet-s", "face-s", "mnist-s"} {
-		d, err := ByName(name, s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

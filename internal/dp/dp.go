@@ -1,8 +1,7 @@
 // Package dp implements the differential-privacy machinery of Prive-HD
 // §II-B and §III-B: the (ε,δ) Gaussian mechanism with the σ calibration the
-// paper adopts from Abadi et al., the ε Laplace mechanism of Dwork et al.,
-// and the model privatizer that perturbs HD class hypervectors after
-// training.
+// paper adopts from Abadi et al., applied by the model privatizer that
+// perturbs HD class hypervectors after training.
 //
 // The paper's threat model: class hypervectors are sums of encodings
 // (Eq. 3), so models trained on adjacent datasets differ by exactly one
@@ -24,7 +23,7 @@ type Params struct {
 	// Epsilon is the privacy loss bound ε (> 0). Smaller is more private.
 	Epsilon float64
 	// Delta is the probability δ with which the ε guarantee may fail
-	// (0 < δ < 1 for the Gaussian mechanism; 0 for pure-ε Laplace). The
+	// (0 < δ < 1 for the Gaussian mechanism). The
 	// paper fixes δ = 1e−5, "reasonable especially [as] the size of our
 	// datasets are smaller than 10^5".
 	Delta float64
@@ -73,41 +72,6 @@ func EpsilonFor(sigma, delta float64) (float64, error) {
 		return 0, fmt.Errorf("dp: delta %v too large for the Gaussian tail bound", delta)
 	}
 	return math.Sqrt(2*math.Log(arg)) / sigma, nil
-}
-
-// GaussianMechanism adds N(0, (l2Sensitivity·σ)²) noise to every element of
-// v in place, where σ comes from SigmaFactor(p) — paper Eq. 8.
-func GaussianMechanism(src *hrand.Source, v []float64, l2Sensitivity float64, p Params) error {
-	sigma, err := SigmaFactor(p)
-	if err != nil {
-		return err
-	}
-	if l2Sensitivity < 0 {
-		return fmt.Errorf("dp: negative sensitivity %v", l2Sensitivity)
-	}
-	std := l2Sensitivity * sigma
-	for i := range v {
-		v[i] += src.Normal(0, std)
-	}
-	return nil
-}
-
-// LaplaceMechanism adds Lap(l1Sensitivity/ε) noise to every element of v in
-// place, giving pure ε-differential privacy (paper Eq. 7 discussion, Dwork
-// et al.). Prive-HD prefers the Gaussian mechanism because the ℓ2
-// sensitivity of HD encodings is far smaller than the ℓ1.
-func LaplaceMechanism(src *hrand.Source, v []float64, l1Sensitivity, epsilon float64) error {
-	if epsilon <= 0 {
-		return fmt.Errorf("dp: epsilon must be positive, got %v", epsilon)
-	}
-	if l1Sensitivity < 0 {
-		return fmt.Errorf("dp: negative sensitivity %v", l1Sensitivity)
-	}
-	b := l1Sensitivity / epsilon
-	for i := range v {
-		v[i] += src.Laplace(0, b)
-	}
-	return nil
 }
 
 // PrivatizeModel perturbs every class hypervector of m in place with the
@@ -177,12 +141,4 @@ func NoiseStd(l2Sensitivity float64, p Params) (float64, error) {
 		return 0, err
 	}
 	return l2Sensitivity * sigma, nil
-}
-
-// Compose returns the privacy parameters consumed by running k mechanisms
-// with the given per-release parameters under basic (sequential)
-// composition: ε and δ add. Prive-HD releases the model once, but the
-// helper documents the cost of re-releasing (e.g. periodic retraining).
-func Compose(p Params, k int) Params {
-	return Params{Epsilon: p.Epsilon * float64(k), Delta: p.Delta * float64(k)}
 }

@@ -85,76 +85,6 @@ func TestParamValidation(t *testing.T) {
 	}
 }
 
-func TestGaussianMechanismMoments(t *testing.T) {
-	src := hrand.New(1)
-	const n = 100000
-	v := make([]float64, n)
-	p := Params{Epsilon: 1, Delta: 1e-5}
-	sens := 2.0
-	if err := GaussianMechanism(src, v, sens, p); err != nil {
-		t.Fatal(err)
-	}
-	var sum, sumSq float64
-	for _, x := range v {
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	std := math.Sqrt(sumSq/n - mean*mean)
-	sigma, _ := SigmaFactor(p)
-	want := sens * sigma
-	if math.Abs(mean) > 0.15 {
-		t.Errorf("noise mean = %v, want ≈0", mean)
-	}
-	if math.Abs(std-want)/want > 0.03 {
-		t.Errorf("noise std = %v, want ≈%v", std, want)
-	}
-}
-
-func TestGaussianMechanismErrors(t *testing.T) {
-	src := hrand.New(2)
-	if err := GaussianMechanism(src, []float64{1}, -1, Params{Epsilon: 1, Delta: 1e-5}); err == nil {
-		t.Error("expected error for negative sensitivity")
-	}
-	if err := GaussianMechanism(src, []float64{1}, 1, Params{}); err == nil {
-		t.Error("expected error for zero params")
-	}
-}
-
-func TestLaplaceMechanismMoments(t *testing.T) {
-	src := hrand.New(3)
-	const n = 200000
-	v := make([]float64, n)
-	sens, eps := 3.0, 2.0
-	if err := LaplaceMechanism(src, v, sens, eps); err != nil {
-		t.Fatal(err)
-	}
-	var sum, sumSq float64
-	for _, x := range v {
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	b := sens / eps
-	if math.Abs(mean) > 0.05 {
-		t.Errorf("mean = %v, want ≈0", mean)
-	}
-	if math.Abs(variance-2*b*b)/(2*b*b) > 0.05 {
-		t.Errorf("variance = %v, want ≈%v", variance, 2*b*b)
-	}
-}
-
-func TestLaplaceMechanismErrors(t *testing.T) {
-	src := hrand.New(4)
-	if err := LaplaceMechanism(src, []float64{1}, 1, 0); err == nil {
-		t.Error("expected error for zero epsilon")
-	}
-	if err := LaplaceMechanism(src, []float64{1}, -1, 1); err == nil {
-		t.Error("expected error for negative sensitivity")
-	}
-}
-
 func TestPrivatizeModelPerturbsEveryClass(t *testing.T) {
 	src := hrand.New(5)
 	m := hdc.NewModel(3, 50)
@@ -285,13 +215,6 @@ func TestPrivacyAccuracyTradeoff(t *testing.T) {
 	}
 	if loose < 0.9 {
 		t.Errorf("loose budget accuracy %v unexpectedly low", loose)
-	}
-}
-
-func TestCompose(t *testing.T) {
-	p := Compose(Params{Epsilon: 1, Delta: 1e-5}, 3)
-	if p.Epsilon != 3 || math.Abs(p.Delta-3e-5) > 1e-18 {
-		t.Errorf("Compose = %+v", p)
 	}
 }
 

@@ -242,15 +242,6 @@ func (e *Engine) fill(dst []uint64, vecs [][]uint64, what string) error {
 	return nil
 }
 
-// Dim returns the hypervector dimensionality D_hv.
-func (e *Engine) Dim() int { return e.dim }
-
-// Features returns the input dimensionality D_iv.
-func (e *Engine) Features() int { return e.features }
-
-// Levels returns the quantization level count ℓ_iv.
-func (e *Engine) Levels() int { return e.levels }
-
 func (e *Engine) get() *scratch {
 	if s, ok := e.scratch.Get().(*scratch); ok {
 		return s

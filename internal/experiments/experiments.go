@@ -151,17 +151,6 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-ish CSV (cells never contain quotes in
-// this package).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ",") + "\n")
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ",") + "\n")
-	}
-	return b.String()
-}
-
 // sliceDims returns prefix views of each encoding at the given dimension.
 func sliceDims(encoded [][]float64, dim int) [][]float64 {
 	out := make([][]float64, len(encoded))

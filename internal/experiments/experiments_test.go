@@ -56,10 +56,6 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(md, "| a | bb |") || !strings.Contains(md, "| --- | --- |") {
 		t.Errorf("Markdown malformed:\n%s", md)
 	}
-	csv := tab.CSV()
-	if !strings.HasPrefix(csv, "a,bb\n1,2\n") {
-		t.Errorf("CSV malformed:\n%s", csv)
-	}
 }
 
 func TestSliceDims(t *testing.T) {
@@ -151,7 +147,7 @@ func TestFig5Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc, sens := tables[0], tables[1]
-	if len(acc.Rows) != len(r.Ctx().Dims) {
+	if len(acc.Rows) != len(r.ctx.Dims) {
 		t.Fatalf("fig5a rows = %d", len(acc.Rows))
 	}
 	// Sensitivity table must contain exact analytic values; check the
@@ -186,7 +182,7 @@ func TestFig8Smoke(t *testing.T) {
 		t.Fatalf("fig8 tables = %d, want 4 (a-d)", len(tables))
 	}
 	for _, tab := range tables[:3] {
-		if len(tab.Rows) != len(r.Ctx().Dims) {
+		if len(tab.Rows) != len(r.ctx.Dims) {
 			t.Errorf("%s rows = %d", tab.ID, len(tab.Rows))
 		}
 	}

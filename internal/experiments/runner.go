@@ -53,9 +53,6 @@ func NewRunner(ctx Context) (*Runner, error) {
 	}, nil
 }
 
-// Ctx returns the runner's context.
-func (r *Runner) Ctx() Context { return r.ctx }
-
 // Dataset returns (and caches) a standard workload.
 func (r *Runner) Dataset(name string) (*dataset.Dataset, error) {
 	r.mu.Lock()

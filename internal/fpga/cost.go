@@ -1,7 +1,5 @@
 package fpga
 
-import "math"
-
 // Eq. 15 and the surrounding §III-D discussion: LUT-6 budgets for reducing
 // the d_iv partial products of one encoded dimension.
 
@@ -16,43 +14,8 @@ func BipolarApproxLUTs(div int) float64 {
 	return 7.0 / 18.0 * float64(div)
 }
 
-// BipolarApproxLUTsFinite evaluates Eq. 15 with the finite sum truncated at
-// log2(d_iv) stages, the exact expression before the paper's asymptotic
-// simplification.
-func BipolarApproxLUTsFinite(div int) float64 {
-	stages := int(math.Ceil(math.Log2(float64(div))))
-	var sum float64
-	for i := 1; i <= stages; i++ {
-		sum += float64(div) / 3 * float64(i) / math.Pow(2, float64(i-1))
-	}
-	return float64(div)/6 + sum/6
-}
-
 // BipolarExactLUTs returns the paper's cost for the exact adder-tree
 // implementation, 4/3·d_iv.
 func BipolarExactLUTs(div int) float64 {
 	return 4.0 / 3.0 * float64(div)
-}
-
-// BipolarSavings returns the fractional LUT saving of the approximate
-// implementation: 1 − (7/18)/(4/3) ≈ 0.708, the "70.8% less" of §III-D.
-func BipolarSavings() float64 {
-	return 1 - BipolarApproxLUTs(1)/BipolarExactLUTs(1)
-}
-
-// TernaryApproxLUTs returns the §III-D estimate for the saturated
-// adder-tree ternary reduction, ≈ 2·d_iv.
-func TernaryApproxLUTs(div int) float64 {
-	return 2 * float64(div)
-}
-
-// TernaryExactLUTs returns the cost with an exact adder tree, ≈ 3·d_iv.
-func TernaryExactLUTs(div int) float64 {
-	return 3 * float64(div)
-}
-
-// TernarySavings returns the fractional saving of the saturated tree,
-// 1 − 2/3 ≈ 0.333 — the "33.3%" of §III-D.
-func TernarySavings() float64 {
-	return 1 - TernaryApproxLUTs(1)/TernaryExactLUTs(1)
 }

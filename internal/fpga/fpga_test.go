@@ -3,7 +3,6 @@ package fpga
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"privehd/internal/hrand"
 )
@@ -111,11 +110,11 @@ func TestBipolarCircuitGroupCount(t *testing.T) {
 	}
 	for _, tt := range tests {
 		c := NewBipolarCircuit(tt.div, src)
-		if c.Groups() != tt.groups {
-			t.Errorf("div=%d groups=%d, want %d", tt.div, c.Groups(), tt.groups)
+		if got := len(c.groupLUTs); got != tt.groups {
+			t.Errorf("div=%d groups=%d, want %d", tt.div, got, tt.groups)
 		}
-		if c.Inputs() != tt.div {
-			t.Errorf("Inputs = %d", c.Inputs())
+		if c.div != tt.div {
+			t.Errorf("Inputs = %d", c.div)
 		}
 	}
 }
@@ -185,143 +184,14 @@ func TestExactMajority(t *testing.T) {
 	}
 }
 
-func TestTernarySum3(t *testing.T) {
-	if got := TernarySum3([]int{1, 1, 1}); got != 3 {
-		t.Errorf("sum = %d", got)
-	}
-	if got := TernarySum3([]int{-1, 0, 1}); got != 0 {
-		t.Errorf("sum = %d", got)
-	}
-	if got := TernarySum3([]int{-1}); got != -1 {
-		t.Errorf("sum = %d", got)
-	}
-	for _, bad := range [][]int{{2}, {1, 1, 1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("TernarySum3(%v) should panic", bad)
-				}
-			}()
-			TernarySum3(bad)
-		}()
-	}
-}
-
-func TestTruncatedTreeSumSmall(t *testing.T) {
-	// ≤3 inputs: exact, zero stages.
-	approx, stages := TruncatedTreeSum([]int{1, 1, -1})
-	if approx != 1 || stages != 0 {
-		t.Errorf("got (%d, %d), want (1, 0)", approx, stages)
-	}
-	approx, stages = TruncatedTreeSum(nil)
-	if approx != 0 || stages != 0 {
-		t.Errorf("empty: got (%d, %d)", approx, stages)
-	}
-}
-
-func TestTruncatedTreeSumErrorBound(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := hrand.New(seed)
-		n := 1 + src.IntN(600)
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = src.IntN(3) - 1
-		}
-		approx, _ := TruncatedTreeSum(vals)
-		exact := ExactSum(vals)
-		bound := TruncatedTreeError(n)
-		return abs(approx-exact) <= bound
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTruncatedTreeSumOrderingPreserved(t *testing.T) {
-	// The property HD inference needs: two reductions whose exact sums
-	// differ by more than twice the error bound must keep their order
-	// after truncation (per-class scores are compared, not read as
-	// absolute values).
-	src := hrand.New(5)
-	const n = 300
-	bound := TruncatedTreeError(n)
-	mk := func(pPlus float64) []int {
-		vals := make([]int, n)
-		for i := range vals {
-			r := src.Float64()
-			switch {
-			case r < pPlus:
-				vals[i] = 1
-			case r < pPlus+0.1:
-				vals[i] = -1
-			}
-		}
-		return vals
-	}
-	for trial := 0; trial < 100; trial++ {
-		hi := mk(0.9) // exact ≈ +240
-		lo := mk(0.1) // exact ≈ 0
-		ehi, elo := ExactSum(hi), ExactSum(lo)
-		if ehi-elo <= 2*bound {
-			continue
-		}
-		ahi, _ := TruncatedTreeSum(hi)
-		alo, _ := TruncatedTreeSum(lo)
-		if ahi <= alo {
-			t.Fatalf("ordering flipped: exact %d vs %d, approx %d vs %d", ehi, elo, ahi, alo)
-		}
-	}
-}
-
-func TestTruncatedTreeSumBiasIsNegative(t *testing.T) {
-	// Floor truncation biases toward −∞; the bias must stay within the
-	// worst-case bound. This documents the datapath's systematic error.
-	src := hrand.New(6)
-	const n, trials = 300, 300
-	bound := TruncatedTreeError(n)
-	var total float64
-	for trial := 0; trial < trials; trial++ {
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = src.IntN(3) - 1
-		}
-		approx, _ := TruncatedTreeSum(vals)
-		total += float64(approx - ExactSum(vals))
-	}
-	mean := total / trials
-	if mean > 0 {
-		t.Errorf("truncation bias = %v, expected negative", mean)
-	}
-	if -mean > float64(bound) {
-		t.Errorf("mean bias %v exceeds worst-case bound %d", mean, bound)
-	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 func TestEq15CostModel(t *testing.T) {
 	// Paper: ≈7/18·d_iv vs 4/3·d_iv exact — "70.8% less".
-	if got := BipolarSavings(); math.Abs(got-0.708) > 0.001 {
+	if got := 1 - BipolarApproxLUTs(1)/BipolarExactLUTs(1); math.Abs(got-0.708) > 0.001 {
 		t.Errorf("bipolar savings = %v, want ≈0.708", got)
-	}
-	if got := TernarySavings(); math.Abs(got-1.0/3) > 1e-9 {
-		t.Errorf("ternary savings = %v, want 1/3", got)
 	}
 	// ISOLET: 7/18·617 ≈ 240.
 	if got := BipolarApproxLUTs(617); math.Abs(got-239.9) > 0.2 {
 		t.Errorf("approx LUTs(617) = %v", got)
-	}
-	// The finite-stage formula converges to the asymptotic one from below
-	// within a few percent at realistic d_iv.
-	fin := BipolarApproxLUTsFinite(617)
-	asym := BipolarApproxLUTs(617)
-	if fin > asym || (asym-fin)/asym > 0.05 {
-		t.Errorf("finite %v vs asymptotic %v out of band", fin, asym)
 	}
 }
 
@@ -368,46 +238,6 @@ func TestPlatformModelsWithinBandOfPaper(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestDesignReport(t *testing.T) {
-	r := Design(617, 10000)
-	if r.LUTsPerDimension < 200 || r.LUTsPerDimension > 300 {
-		t.Errorf("LUTs/dim = %v, want ≈240", r.LUTsPerDimension)
-	}
-	if r.ParallelDims < 1 || r.ParallelDims > 10000 {
-		t.Errorf("ParallelDims = %d", r.ParallelDims)
-	}
-	// Cycles × parallel lanes must cover every dimension.
-	if r.CyclesPerInput*r.ParallelDims < 10000 {
-		t.Errorf("design does not cover all dimensions: %d×%d", r.CyclesPerInput, r.ParallelDims)
-	}
-	// Throughput must match the platform model exactly.
-	want := PriveHDFPGA().Throughput(Workload{Features: 617, Dim: 10000})
-	if math.Abs(r.Throughput-want)/want > 1e-12 {
-		t.Errorf("Throughput %v != platform model %v", r.Throughput, want)
-	}
-	if r.String() == "" {
-		t.Error("String empty")
-	}
-}
-
-func TestDesignSmallDim(t *testing.T) {
-	// With few dimensions the parallelism clamps to Dim and one cycle
-	// suffices.
-	r := Design(36, 8)
-	if r.ParallelDims != 8 || r.CyclesPerInput != 1 {
-		t.Errorf("small design = %d lanes, %d cycles", r.ParallelDims, r.CyclesPerInput)
-	}
-}
-
-func TestDesignPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Design(0, 10)
 }
 
 func TestWorkloadOps(t *testing.T) {

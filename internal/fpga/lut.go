@@ -1,7 +1,6 @@
 // Package fpga models the Prive-HD hardware implementation of §III-D: the
 // LUT-6 partial-majority circuit that computes bipolar quantization
-// (Fig. 7a), the truncating ("saturated") adder tree for ternary values
-// (Fig. 7b), the Eq. 15 LUT cost model, and the Table I platform
+// (Fig. 7a), the Eq. 15 LUT cost model, and the Table I platform
 // throughput/energy models.
 //
 // The circuit simulations are bit-exact: they evaluate the same boolean

@@ -181,14 +181,8 @@ func (e *LevelEncoder) Dim() int { return e.cfg.Dim }
 // NumFeatures returns D_iv.
 func (e *LevelEncoder) NumFeatures() int { return e.cfg.Features }
 
-// Levels returns ℓ_iv.
-func (e *LevelEncoder) Levels() int { return e.cfg.Levels }
-
 // Base returns base hypervector B_k as shared ±1 floats.
 func (e *LevelEncoder) Base(k int) []float64 { return e.item.Floats(k) }
-
-// LevelVector returns level hypervector L_i as shared ±1 floats.
-func (e *LevelEncoder) LevelVector(i int) []float64 { return e.level.Floats(i) }
 
 // Encode returns the Eq. 2b encoding of the given normalized features.
 // It panics if len(features) != NumFeatures().

@@ -192,7 +192,7 @@ func TestLevelEncodeMatchesNaive(t *testing.T) {
 	got := e.Encode(in)
 	want := make([]float64, cfg.Dim)
 	for k, v := range in {
-		lvl := e.LevelVector(LevelIndex(v, cfg.Levels))
+		lvl := e.level.Packed(LevelIndex(v, cfg.Levels)).Floats()
 		base := e.Base(k)
 		for j := range want {
 			want[j] += lvl[j] * base[j]

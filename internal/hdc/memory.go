@@ -38,9 +38,6 @@ func NewItemMemory(src *hrand.Source, features, dim int) *ItemMemory {
 // Len returns the number of bases (D_iv).
 func (m *ItemMemory) Len() int { return len(m.packed) }
 
-// Dim returns the hypervector dimensionality.
-func (m *ItemMemory) Dim() int { return m.dim }
-
 // Packed returns base k in packed form. The returned vector is shared and
 // must not be modified.
 func (m *ItemMemory) Packed(k int) *bitvec.Vector { return m.packed[k] }
@@ -68,7 +65,6 @@ type LevelMemory struct {
 	dim      int
 	perStep  int
 	packed   []*bitvec.Vector
-	floats   [][]float64
 	flipPlan [][]int // flipPlan[k] = positions flipped between level k and k+1
 }
 
@@ -79,7 +75,6 @@ func NewLevelMemory(src *hrand.Source, levels, dim int) *LevelMemory {
 		dim:      dim,
 		perStep:  dim / (2 * levels),
 		packed:   make([]*bitvec.Vector, levels),
-		floats:   make([][]float64, levels),
 		flipPlan: make([][]int, levels-1),
 	}
 	base := bitvec.New(dim)
@@ -106,25 +101,6 @@ func NewLevelMemory(src *hrand.Source, levels, dim int) *LevelMemory {
 	return m
 }
 
-// Len returns the number of levels.
-func (m *LevelMemory) Len() int { return len(m.packed) }
-
-// Dim returns the hypervector dimensionality.
-func (m *LevelMemory) Dim() int { return m.dim }
-
-// FlipsPerStep returns the number of bits flipped between consecutive
-// levels, ⌊D_hv/(2·ℓ_iv)⌋.
-func (m *LevelMemory) FlipsPerStep() int { return m.perStep }
-
 // Packed returns level k in packed form. The returned vector is shared and
 // must not be modified.
 func (m *LevelMemory) Packed(k int) *bitvec.Vector { return m.packed[k] }
-
-// Floats returns level k as a ±1 float slice, cached after first use. The
-// returned slice is shared and must not be modified.
-func (m *LevelMemory) Floats(k int) []float64 {
-	if m.floats[k] == nil {
-		m.floats[k] = m.packed[k].Floats()
-	}
-	return m.floats[k]
-}

@@ -13,8 +13,8 @@ func TestItemMemoryGeometry(t *testing.T) {
 	if m.Len() != 20 {
 		t.Fatalf("Len = %d, want 20", m.Len())
 	}
-	if m.Dim() != 1000 {
-		t.Fatalf("Dim = %d, want 1000", m.Dim())
+	if m.dim != 1000 {
+		t.Fatalf("Dim = %d, want 1000", m.dim)
 	}
 	for k := 0; k < 20; k++ {
 		if got := m.Packed(k).Len(); got != 1000 {
@@ -69,12 +69,12 @@ func TestItemMemoryDeterminism(t *testing.T) {
 func TestLevelMemoryFlipCounts(t *testing.T) {
 	const d, levels = 1000, 10
 	m := NewLevelMemory(hrand.New(4), levels, d)
-	if m.Len() != levels {
-		t.Fatalf("Len = %d", m.Len())
+	if len(m.packed) != levels {
+		t.Fatalf("Len = %d", len(m.packed))
 	}
 	want := d / (2 * levels)
-	if m.FlipsPerStep() != want {
-		t.Fatalf("FlipsPerStep = %d, want %d", m.FlipsPerStep(), want)
+	if m.perStep != want {
+		t.Fatalf("FlipsPerStep = %d, want %d", m.perStep, want)
 	}
 	for k := 1; k < levels; k++ {
 		h := bitvec.Hamming(m.Packed(k-1), m.Packed(k))
@@ -121,17 +121,6 @@ func TestLevelMemoryDeterminism(t *testing.T) {
 	for k := 0; k < 16; k++ {
 		if bitvec.Hamming(a.Packed(k), b.Packed(k)) != 0 {
 			t.Fatal("same seed must give identical level memories")
-		}
-	}
-}
-
-func TestLevelMemoryFloats(t *testing.T) {
-	m := NewLevelMemory(hrand.New(9), 4, 100)
-	f := m.Floats(2)
-	p := m.Packed(2)
-	for j := range f {
-		if f[j] != p.Sign(j) {
-			t.Fatalf("floats/packed disagree at %d", j)
 		}
 	}
 }

@@ -71,17 +71,3 @@ func Evaluate(m *Model, encoded [][]float64, labels []int) float64 {
 	}
 	return float64(correct) / float64(len(encoded))
 }
-
-// ConfusionMatrix returns counts[t][p] of evaluation samples with true label
-// t predicted as p.
-func ConfusionMatrix(m *Model, encoded [][]float64, labels []int) [][]int {
-	n := m.NumClasses()
-	counts := make([][]int, n)
-	for i := range counts {
-		counts[i] = make([]int, n)
-	}
-	for i, h := range encoded {
-		counts[labels[i]][m.Predict(h)]++
-	}
-	return counts
-}

@@ -127,18 +127,6 @@ func TestEvaluateEmpty(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	m := NewModel(2, 2)
-	m.Add(0, []float64{1, 0})
-	m.Add(1, []float64{0, 1})
-	encoded := [][]float64{{1, 0}, {0, 1}, {1, 0}}
-	labels := []int{0, 1, 1} // last one is a true-1 that looks like 0
-	cm := ConfusionMatrix(m, encoded, labels)
-	if cm[0][0] != 1 || cm[1][1] != 1 || cm[1][0] != 1 || cm[0][1] != 0 {
-		t.Errorf("confusion matrix = %v", cm)
-	}
-}
-
 func TestEncoderAgreement(t *testing.T) {
 	// Both paper encodings should solve the same separable task; their
 	// accuracies are expected to be comparable (the paper treats them as

@@ -10,10 +10,7 @@
 // sampling. That trade-off is deliberate and documented here once.
 package hrand
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // Source is a deterministic random source. It is not safe for concurrent
 // use; derive per-goroutine sources with Split.
@@ -55,39 +52,6 @@ func (s *Source) Normal(mu, sigma float64) float64 {
 	return mu + sigma*s.rng.NormFloat64()
 }
 
-// Laplace returns a sample from the Laplace distribution with mean mu and
-// scale b (variance 2b²), via inverse-CDF sampling.
-func (s *Source) Laplace(mu, b float64) float64 {
-	u := s.rng.Float64() - 0.5
-	return mu - b*sign(u)*math.Log(1-2*math.Abs(u))
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Bipolar fills a fresh slice of length n with uniform ±1 values — the
-// random base hypervectors of paper Eq. 2.
-func (s *Source) Bipolar(n int) []float64 {
-	v := make([]float64, n)
-	var bits uint64
-	for i := range v {
-		if i%64 == 0 {
-			bits = s.rng.Uint64()
-		}
-		if bits&1 == 1 {
-			v[i] = 1
-		} else {
-			v[i] = -1
-		}
-		bits >>= 1
-	}
-	return v
-}
-
 // NormalVec fills a fresh slice of length n with N(mu, sigma²) samples.
 func (s *Source) NormalVec(n int, mu, sigma float64) []float64 {
 	v := make([]float64, n)
@@ -118,9 +82,4 @@ func (s *Source) SampleK(n, k int) []int {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]
-}
-
-// Shuffle permutes the first n entries of the provided swapper in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	s.rng.Shuffle(n, swap)
 }

@@ -53,43 +53,6 @@ func TestSplitReproducible(t *testing.T) {
 	}
 }
 
-func TestBipolar(t *testing.T) {
-	s := New(1)
-	v := s.Bipolar(10000)
-	if len(v) != 10000 {
-		t.Fatalf("len = %d", len(v))
-	}
-	var sum float64
-	for _, x := range v {
-		if x != 1 && x != -1 {
-			t.Fatalf("non-bipolar value %v", x)
-		}
-		sum += x
-	}
-	// Mean should be near 0: stddev of the sum is 100, so |sum| < 500 is a
-	// 5-sigma bound.
-	if math.Abs(sum) > 500 {
-		t.Errorf("bipolar vector unbalanced: sum = %v", sum)
-	}
-}
-
-func TestBipolarOrthogonality(t *testing.T) {
-	// Two independent bipolar vectors of dimension D have cosine ~ N(0, 1/D):
-	// the "randomly chosen hence orthogonal" property of paper Eq. 2.
-	s := New(2)
-	const d = 10000
-	a := s.Bipolar(d)
-	b := s.Bipolar(d)
-	var dot float64
-	for i := range a {
-		dot += a[i] * b[i]
-	}
-	cos := dot / d
-	if math.Abs(cos) > 5/math.Sqrt(d) {
-		t.Errorf("independent bipolar vectors not near-orthogonal: cos = %v", cos)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	s := New(3)
 	const n = 100000
@@ -107,27 +70,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(v-sigma*sigma) > 0.3 {
 		t.Errorf("Normal variance = %v, want ≈%v", v, sigma*sigma)
-	}
-}
-
-func TestLaplaceMoments(t *testing.T) {
-	s := New(4)
-	const n = 200000
-	mu, b := -1.0, 2.0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := s.Laplace(mu, b)
-		sum += x
-		sumSq += x * x
-	}
-	m := sum / n
-	v := sumSq/n - m*m
-	if math.Abs(m-mu) > 0.05 {
-		t.Errorf("Laplace mean = %v, want ≈%v", m, mu)
-	}
-	// Var = 2b² = 8.
-	if math.Abs(v-8) > 0.5 {
-		t.Errorf("Laplace variance = %v, want ≈8", v)
 	}
 }
 
@@ -209,21 +151,6 @@ func TestSampleKUniformCoverage(t *testing.T) {
 	for i, c := range counts {
 		if c == 0 {
 			t.Errorf("index %d never sampled", i)
-		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(10)
-	v := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	s.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	seen := make([]bool, 10)
-	for _, x := range v {
-		seen[x] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("Shuffle lost element %d", i)
 		}
 	}
 }

@@ -243,9 +243,6 @@ func PrepareBlocked(classes [][]float64, blockDim int) *Engine {
 	return e
 }
 
-// Dim returns the engine's hypervector dimensionality.
-func (e *Engine) Dim() int { return e.dim }
-
 // NumClasses returns the number of classes the engine scores.
 func (e *Engine) NumClasses() int { return e.classes }
 

@@ -189,7 +189,7 @@ func TestBitIdenticalToModel(t *testing.T) {
 				t.Fatalf("trial %d class %d: packed %v != float %v", trial, l, got[l], want[l])
 			}
 		}
-		if pl, fl := m.PredictPacked(q), m.Predict(v); pl != fl {
+		if pl, fl := m.PackedScorer().PredictPacked(q), m.Predict(v); pl != fl {
 			t.Fatalf("trial %d: PredictPacked %d != Predict %d", trial, pl, fl)
 		}
 	}

@@ -274,9 +274,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -555,9 +552,6 @@ func (cv *CounterVec) With(lvs ...string) *Counter {
 	return cv.vec.create(lvs, func() *Counter { return &Counter{} }).v
 }
 
-// Delete drops the child for the given label values.
-func (cv *CounterVec) Delete(lvs ...string) { cv.vec.delete(lvs) }
-
 func (cv *CounterVec) name() string { return cv.vec.d.fqName }
 func (cv *CounterVec) write(w io.Writer, om bool) error {
 	d := cv.vec.d
@@ -641,9 +635,6 @@ func (hv *HistogramVec) With(lvs ...string) *Histogram {
 	}
 	return hv.vec.create(lvs, func() *Histogram { return newHistogram(hv.buckets) }).v
 }
-
-// Delete drops the child for the given label values.
-func (hv *HistogramVec) Delete(lvs ...string) { hv.vec.delete(lvs) }
 
 func (hv *HistogramVec) name() string { return hv.vec.d.fqName }
 func (hv *HistogramVec) write(w io.Writer, om bool) error {

@@ -15,7 +15,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Add(41)
 	c.Inc()
 	g.Set(7)
-	g.Add(2)
+	g.Inc()
+	g.Inc()
 	g.Dec()
 
 	var b strings.Builder
@@ -56,14 +57,20 @@ func TestVecExpositionSortedAndEscaped(t *testing.T) {
 	if !strings.Contains(out, `model="we\"ird\\nm"`) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
+}
 
-	cv.Delete("alpha")
-	b.Reset()
+func TestGaugeVecDeleteDropsChild(t *testing.T) {
+	r := NewRegistry()
+	gv := r.NewGaugeVec("test_active_version", "Per-model.", "model")
+	gv.With("alpha").Set(3)
+	gv.With("zeta").Set(1)
+	gv.Delete("alpha")
+	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(b.String(), "alpha") {
-		t.Errorf("deleted child still exposed:\n%s", b.String())
+	if strings.Contains(b.String(), "alpha") || !strings.Contains(b.String(), `test_active_version{model="zeta"} 1`) {
+		t.Errorf("deleted child still exposed, or survivor lost:\n%s", b.String())
 	}
 }
 
@@ -184,7 +191,7 @@ func TestConcurrentWriters(t *testing.T) {
 			model := string(rune('a' + w%2))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(0.25)
 				cv.With(model).Inc()
 				hv.With("classify").Observe(2)
@@ -252,7 +259,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(5)
-		g.Add(-1)
+		g.Dec()
 		h.Observe(0.00017)
 		h.ObserveSince(time.Now())
 		cv.With("default").Inc()

@@ -24,12 +24,3 @@ func BenchmarkEvalBipolarApprox617(b *testing.B) {
 		_ = nl.Eval(in)
 	}
 }
-
-func BenchmarkEvalTernaryTree600(b *testing.B) {
-	tree := BuildTernaryTree(600)
-	vals := randTernary(hrand.New(3), 600)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tree.Eval(vals)
-	}
-}

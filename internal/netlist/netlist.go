@@ -89,9 +89,6 @@ func (n *Netlist) NumInputs() int { return len(n.inputNames) }
 // NumLUTs returns the LUT node count — the resource metric of Eq. 15.
 func (n *Netlist) NumLUTs() int { return len(n.nodes) }
 
-// NumOutputs returns the output count.
-func (n *Netlist) NumOutputs() int { return len(n.outputs) }
-
 // Depth returns the maximum logic depth in LUT levels (inputs are level 0).
 func (n *Netlist) Depth() int {
 	level := make([]int, len(n.inputNames)+len(n.nodes))

@@ -15,8 +15,8 @@ func TestBasicConstruction(t *testing.T) {
 	and := fpga.FuncLUT6(2, func(in []bool) bool { return in[0] && in[1] })
 	y := n.AddLUT("y", and, a, b)
 	n.MarkOutput(y)
-	if n.NumInputs() != 2 || n.NumLUTs() != 1 || n.NumOutputs() != 1 {
-		t.Fatalf("counts = (%d, %d, %d)", n.NumInputs(), n.NumLUTs(), n.NumOutputs())
+	if n.NumInputs() != 2 || n.NumLUTs() != 1 || len(n.outputs) != 1 {
+		t.Fatalf("counts = (%d, %d, %d)", n.NumInputs(), n.NumLUTs(), len(n.outputs))
 	}
 	if n.Depth() != 1 {
 		t.Errorf("Depth = %d, want 1", n.Depth())
@@ -88,16 +88,6 @@ func TestDepthChain(t *testing.T) {
 	if n.Depth() != 5 {
 		t.Errorf("Depth = %d, want 5", n.Depth())
 	}
-}
-
-func popcountRef(bits []bool) int {
-	c := 0
-	for _, b := range bits {
-		if b {
-			c++
-		}
-	}
-	return c
 }
 
 func TestPopcountTree(t *testing.T) {

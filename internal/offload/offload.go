@@ -634,9 +634,6 @@ func NewRegistryServer(reg *registry.Registry, opts ...ServerOption) *Server {
 	return s
 }
 
-// Registry returns the registry the server answers from.
-func (s *Server) Registry() *registry.Registry { return s.reg }
-
 // task is one query dispatched to the worker pool: score query against
 // model (packed queries on the registry entry's integer engine) into the
 // preallocated row of *out, signal wg.
@@ -2016,22 +2013,6 @@ func (c *Client) Peer() string { return c.peer }
 // Shard returns the served entry's shard descriptor from the handshake,
 // nil when the server holds the whole model.
 func (c *Client) Shard() *registry.ShardInfo { return c.hello.Shard }
-
-// Dim returns the served model's dimensionality, learned in the handshake.
-func (c *Client) Dim() int { return c.hello.Dim }
-
-// Classes returns the served model's class count, learned in the handshake.
-func (c *Client) Classes() int { return c.hello.Classes }
-
-// MaxBatch returns the server's advertised per-request query limit.
-func (c *Client) MaxBatch() int { return c.hello.MaxBatch }
-
-// Model returns the name of the registry entry the connection is bound to.
-func (c *Client) Model() string { return c.hello.Model }
-
-// ModelVersion returns the served model's publication version at handshake
-// time (hot swaps after the handshake bump it server-side).
-func (c *Client) ModelVersion() int { return c.hello.ModelVersion }
 
 // ServerHello returns the full accepted handshake answer, including the
 // served model's public encoder setup for auto-configuring edges.

@@ -96,8 +96,8 @@ func TestClassifyOverTCP(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	if c.Dim() != 4 || c.Classes() != 2 || c.MaxBatch() != DefaultMaxBatch {
-		t.Errorf("handshake advertised dim=%d classes=%d maxBatch=%d", c.Dim(), c.Classes(), c.MaxBatch())
+	if c.hello.Dim != 4 || c.hello.Classes != 2 || c.hello.MaxBatch != DefaultMaxBatch {
+		t.Errorf("handshake advertised dim=%d classes=%d maxBatch=%d", c.hello.Dim, c.hello.Classes, c.hello.MaxBatch)
 	}
 	label, scores, err := c.Classify(context.Background(), []float64{2, 1, 0, 0})
 	if err != nil {
@@ -254,8 +254,8 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	if c.MaxBatch() != 2 {
-		t.Fatalf("advertised MaxBatch = %d, want 2", c.MaxBatch())
+	if c.hello.MaxBatch != 2 {
+		t.Fatalf("advertised MaxBatch = %d, want 2", c.hello.MaxBatch)
 	}
 	// The client honors the advertised limit by chunking, so a 5-query
 	// batch succeeds through multiple round trips.
@@ -710,11 +710,11 @@ func TestMultiModelServing(t *testing.T) {
 		if wantName == "" {
 			wantName = "alpha"
 		}
-		if got := c.Model(); got != wantName {
+		if got := c.hello.Model; got != wantName {
 			t.Errorf("dial %q bound to model %q, want %q", tc.model, got, wantName)
 		}
-		if c.ModelVersion() != 1 {
-			t.Errorf("dial %q ModelVersion = %d, want 1", tc.model, c.ModelVersion())
+		if c.hello.ModelVersion != 1 {
+			t.Errorf("dial %q ModelVersion = %d, want 1", tc.model, c.hello.ModelVersion)
 		}
 		label, _, err := c.Classify(context.Background(), q)
 		if err != nil {
@@ -991,8 +991,8 @@ func TestSetDefaultDoesNotRebindLiveConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Model() != "alpha" {
-		t.Fatalf("default dial bound to %q", c.Model())
+	if c.hello.Model != "alpha" {
+		t.Fatalf("default dial bound to %q", c.hello.Model)
 	}
 	if err := reg.SetDefault("beta"); err != nil {
 		t.Fatal(err)
@@ -1010,8 +1010,8 @@ func TestSetDefaultDoesNotRebindLiveConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Model() != "beta" {
-		t.Errorf("new default dial bound to %q, want beta", c2.Model())
+	if c2.hello.Model != "beta" {
+		t.Errorf("new default dial bound to %q, want beta", c2.hello.Model)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestServerScoresPackedOnIntegerEngine(t *testing.T) {
 	s := NewServer(packedTestModel(classes, dim))
 	defer s.Close()
 
-	entry, err := s.Registry().Lookup("")
+	entry, err := s.reg.Lookup("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,42 +147,6 @@ func PruneModel(m *hdc.Model, mask *Mask) {
 	m.InvalidateAll()
 }
 
-// PerClassMagnitudeMasks is the per-class reading of the paper's pruning
-// text ("prune out the close-to-zero class elements"): each class
-// hypervector drops its own smallest-|value| dimensions, giving one mask
-// per class. Unlike the global masks, a dimension pruned in one class may
-// survive in another, so queries must stay complete — this variant saves
-// model storage and multiply-accumulates but NOT encoding work or
-// sensitivity, which is why Prive-HD's DP path needs the global form. It is
-// provided for completeness and for the pruning-criterion ablation.
-func PerClassMagnitudeMasks(m *hdc.Model, drop int) []*Mask {
-	dim := m.Dim()
-	if drop < 0 || drop > dim {
-		panic(fmt.Sprintf("prune: drop %d out of range [0,%d]", drop, dim))
-	}
-	masks := make([]*Mask, m.NumClasses())
-	for l := range masks {
-		mask := NewMask(dim)
-		order := vecmath.AbsRank(m.Class(l))
-		for _, j := range order[:drop] {
-			mask.Drop(j)
-		}
-		masks[l] = mask
-	}
-	return masks
-}
-
-// PrunePerClass applies one mask per class hypervector.
-func PrunePerClass(m *hdc.Model, masks []*Mask) {
-	if len(masks) != m.NumClasses() {
-		panic(fmt.Sprintf("prune: %d masks for %d classes", len(masks), m.NumClasses()))
-	}
-	for l, mask := range masks {
-		mask.Apply(m.Class(l))
-	}
-	m.InvalidateAll()
-}
-
 // MaskedRetrain runs the paper's prune-then-retrain procedure (§III-B1,
 // Fig. 4): after each Eq. 5 update the pruned dimensions are re-zeroed so
 // they "perpetually remain zero", letting the surviving dimensions absorb

@@ -133,68 +133,6 @@ func TestPruneModel(t *testing.T) {
 	}
 }
 
-func TestPerClassMagnitudeMasks(t *testing.T) {
-	m := hdc.NewModel(2, 4)
-	m.Add(0, []float64{10, 0.1, 5, 0.2})
-	m.Add(1, []float64{0.1, 10, 0.2, 5})
-	masks := PerClassMagnitudeMasks(m, 2)
-	if len(masks) != 2 {
-		t.Fatalf("masks = %d", len(masks))
-	}
-	// Class 0 keeps dims 0,2; class 1 keeps dims 1,3.
-	if !masks[0].Keep[0] || !masks[0].Keep[2] || masks[0].Keep[1] || masks[0].Keep[3] {
-		t.Errorf("class 0 mask = %v", masks[0].Keep)
-	}
-	if !masks[1].Keep[1] || !masks[1].Keep[3] || masks[1].Keep[0] || masks[1].Keep[2] {
-		t.Errorf("class 1 mask = %v", masks[1].Keep)
-	}
-	PrunePerClass(m, masks)
-	if m.Class(0)[1] != 0 || m.Class(1)[0] != 0 {
-		t.Error("PrunePerClass did not zero per-class dims")
-	}
-	if m.Class(0)[0] != 10 || m.Class(1)[1] != 10 {
-		t.Error("PrunePerClass zeroed kept dims")
-	}
-}
-
-func TestPerClassPruningKeepsAccuracyOnStructuredModel(t *testing.T) {
-	// Because every class keeps its own strongest dims, per-class pruning
-	// preserves each class's dominant dot-product terms.
-	src := hrand.New(17)
-	const classes, dim = 3, 400
-	m := hdc.NewModel(classes, dim)
-	protos := make([][]float64, classes)
-	for c := range protos {
-		protos[c] = src.NormalVec(dim, 0, 4)
-		m.Add(c, protos[c])
-	}
-	masks := PerClassMagnitudeMasks(m, dim/2)
-	PrunePerClass(m, masks)
-	correct := 0
-	for c, p := range protos {
-		q := make([]float64, dim)
-		for j := range q {
-			q[j] = p[j] + src.Normal(0, 1)
-		}
-		if m.Predict(q) == c {
-			correct++
-		}
-	}
-	if correct < classes {
-		t.Errorf("per-class pruned model got %d/%d prototypes right", correct, classes)
-	}
-}
-
-func TestPrunePerClassPanics(t *testing.T) {
-	m := hdc.NewModel(2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mask-count mismatch")
-		}
-	}()
-	PrunePerClass(m, []*Mask{NewMask(4)})
-}
-
 func TestRandomMask(t *testing.T) {
 	src := hrand.New(1)
 	mask := RandomMask(100, 40, src.SampleK)

@@ -254,3 +254,15 @@ func Parse(name string) (Quantizer, error) {
 	}
 	return nil, fmt.Errorf("quant: unknown scheme %q (valid: %v)", name, names)
 }
+
+// QuantizeBatch quantizes every encoding in place-order, returning fresh
+// slices. It is the inference-side path (paper §III-C): encodings produced
+// by a full-precision encoder are quantized before offloading, while the
+// model stays full precision.
+func QuantizeBatch(q Quantizer, encodings [][]float64) [][]float64 {
+	out := make([][]float64, len(encodings))
+	for i, h := range encodings {
+		out[i] = q.Quantize(h)
+	}
+	return out
+}

@@ -11,17 +11,6 @@ import (
 // differ by exactly that input's encoding bundled into one class (paper
 // §III-B).
 
-// RawL1Sensitivity returns the ℓ1 sensitivity of un-quantized Eq. 2
-// encoding, paper Eq. 11:
-//
-//	∆f = ‖~H‖₁ = sqrt(2·D_iv/π) · D_hv
-//
-// derived from the folded-normal mean of an encoding dimension, which is
-// approximately N(0, D_iv) by the central limit theorem.
-func RawL1Sensitivity(dhv, div int) float64 {
-	return math.Sqrt(2*float64(div)/math.Pi) * float64(dhv)
-}
-
 // RawL2Sensitivity returns the ℓ2 sensitivity of un-quantized Eq. 2
 // encoding, paper Eq. 12:
 //
@@ -65,37 +54,4 @@ func EmpiricalL2Sensitivity(encodings [][]float64) float64 {
 		}
 	}
 	return worst
-}
-
-// Occupancy returns the empirical probability of each alphabet symbol in a
-// quantized hypervector, in Alphabet() order — the measured counterpart of
-// Probabilities(), used to validate the Eq. 14 occupancy assumptions on
-// real encodings. Returns nil for schemes without a finite alphabet.
-func Occupancy(q Quantizer, quantized []float64) []float64 {
-	alphabet := q.Alphabet()
-	if alphabet == nil || len(quantized) == 0 {
-		return nil
-	}
-	counts := make([]float64, len(alphabet))
-	for _, v := range quantized {
-		for i, a := range alphabet {
-			if v == a {
-				counts[i]++
-				break
-			}
-		}
-	}
-	for i := range counts {
-		counts[i] /= float64(len(quantized))
-	}
-	return counts
-}
-
-// BiasedTernaryGain returns the sensitivity ratio biased/uniform ternary at
-// equal dimension, the paper's "reduces the sensitivity by a factor of
-// 0.87×":
-//
-//	sqrt(D/4 + D/4) / sqrt(D/3 + D/3) = sqrt(3)/2 ≈ 0.866
-func BiasedTernaryGain() float64 {
-	return math.Sqrt(3) / 2
 }

@@ -52,13 +52,6 @@ type EncoderInfo struct {
 	Seed uint64
 }
 
-// Zero reports whether no encoder setup was recorded (a bare-model entry;
-// the handshake then advertises geometry only and edges cannot
-// auto-configure against it).
-func (i EncoderInfo) Zero() bool {
-	return i == EncoderInfo{}
-}
-
 // ShardInfo describes the slice of a logical model an entry serves when one
 // model is split across a replica fleet: the entry's model holds dimensions
 // [DimOffset, DimOffset+DimLen) of classes [ClassOffset,
@@ -359,13 +352,6 @@ func (r *Registry) Lookup(name string) (*Entry, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
 	return e, nil
-}
-
-// Models returns the current entries sorted by name — one consistent
-// snapshot, not a live view.
-func (r *Registry) Models() []*Entry {
-	entries, _ := r.SnapshotModels()
-	return entries
 }
 
 // SnapshotModels returns the entries sorted by name together with the

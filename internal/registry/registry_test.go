@@ -108,7 +108,7 @@ func TestDeregisterAndSetDefault(t *testing.T) {
 	if err := r.SetDefault("ghost"); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("SetDefault(ghost) = %v, want ErrUnknownModel", err)
 	}
-	models := r.Models()
+	models, _ := r.SnapshotModels()
 	if len(models) != 1 || models[0].Name != "a" {
 		t.Errorf("Models = %v", models)
 	}
@@ -172,7 +172,7 @@ func TestModelsReturnsOneConsistentSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	models := r.Models()
+	models, _ := r.SnapshotModels()
 	if len(models) != 5 || r.Len() != 5 {
 		t.Fatalf("Models len %d, Len %d, want 5", len(models), r.Len())
 	}

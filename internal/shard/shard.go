@@ -4,7 +4,7 @@
 // A replica may serve a slice of a logical model — a dimension range of
 // every class plane, a class range, or both (see registry.ShardInfo). The
 // coordinator dials every address, reads each replica's shard descriptor
-// from its v5 ServerHello, groups replicas serving the same slice into a
+// from its ServerHello, groups replicas serving the same slice into a
 // failover cluster, and verifies the groups tile the full model exactly.
 // A prediction then scatters the matching slice of the packed query to
 // every group, gathers exact integer partial dot products and per-class
@@ -22,7 +22,7 @@
 // Each group is a cluster.Cluster, so a replica dying mid-gather is
 // retried on that shard's surviving replicas only; the other shards'
 // partials are never re-fetched. Servers announce graceful shutdown with
-// a v5 GoAway push, which the pools underneath translate into routing new
+// a GoAway push, which the pools underneath translate into routing new
 // work elsewhere before the TCP half-close lands.
 package shard
 
@@ -58,10 +58,9 @@ type Config struct {
 	// Model names the served model to bind to (empty for the default).
 	Model string
 	// Pool is the per-replica pool template (Network/Addr/Hello are
-	// overridden per replica).
+	// overridden per replica). Its DialTimeout also bounds each discovery
+	// dial and handshake (default cluster.DefaultDialTimeout).
 	Pool cluster.PoolConfig
-	// Policy selects the per-group balancing strategy.
-	Policy cluster.Policy
 	// ProbeInterval / ProbeTimeout configure per-group health probing
 	// (cluster.ClusterConfig semantics).
 	ProbeInterval time.Duration
@@ -71,8 +70,6 @@ type Config struct {
 	// as its slowest shard, so hedging stragglers inside each group is
 	// where tail latency actually goes to die. Nil disables.
 	Hedge *cluster.HedgePolicy
-	// DialTimeout bounds each discovery dial (default 5s).
-	DialTimeout time.Duration
 	// Logger receives structured health events. Nil discards them.
 	Logger *slog.Logger
 }
@@ -94,19 +91,17 @@ type Coordinator struct {
 }
 
 // New discovers the fleet's shard layout and returns a coordinator over
-// it. Every address must answer a v5 handshake for the configured model;
+// it. Every address must answer a handshake for the configured model;
 // replicas without a shard descriptor count as whole-model replicas (a
 // one-group coordinator degenerates into a plain failover cluster that
-// happens to score via partials). The context bounds discovery.
+// happens to score via partials). The context bounds discovery, and each
+// discovery dial gives up after the pool template's DialTimeout.
 func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("shard: no replica addresses")
 	}
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	hellos := make([]offload.ServerHello, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
@@ -144,7 +139,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 			Addrs:         addrsByKey[g.key],
 			Hello:         offload.Hello{Model: cfg.Model},
 			Pool:          cfg.Pool,
-			Policy:        cfg.Policy,
 			ProbeInterval: cfg.ProbeInterval,
 			ProbeTimeout:  cfg.ProbeTimeout,
 			Hedge:         cfg.Hedge,
@@ -160,10 +154,19 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 }
 
 // discover dials one address, performs the handshake, and returns the
-// accepted ServerHello. The connection is closed immediately — the real
-// traffic goes through the per-group pools.
+// accepted ServerHello. The pool template's DialTimeout bounds the dial
+// and handshake together, exactly as it bounds every pooled dial, so a
+// replica that accepts but never answers cannot hang discovery. The
+// connection is closed immediately — the real traffic goes through the
+// per-group pools.
 func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello, error) {
-	c, err := offload.Dial(ctx, cfg.Network, addr, offload.Hello{Model: cfg.Model})
+	timeout := cfg.Pool.DialTimeout
+	if timeout <= 0 {
+		timeout = cluster.DefaultDialTimeout
+	}
+	dctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	c, err := offload.Dial(dctx, cfg.Network, addr, offload.Hello{Model: cfg.Model})
 	if err != nil {
 		return offload.ServerHello{}, err
 	}
@@ -173,7 +176,7 @@ func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello
 }
 
 // descriptor normalizes a replica's advertised shard: replicas serving the
-// whole model (pre-sharding deployments, or a v5 server with a whole
+// whole model (pre-sharding deployments, or a server with a whole
 // entry) get the full-cover descriptor so grouping and tiling treat every
 // replica uniformly.
 func descriptor(h offload.ServerHello) registry.ShardInfo {

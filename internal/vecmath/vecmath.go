@@ -7,18 +7,10 @@
 // share a single audited implementation.
 package vecmath
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrLength is returned by checked operations when two vectors that must
-// share a length do not.
-var ErrLength = errors.New("vecmath: vector length mismatch")
+import "math"
 
 // Dot returns the inner product of a and b. It panics if the lengths differ,
-// mirroring the behaviour of slice indexing; use CheckedDot for an error
-// return instead.
+// mirroring the behaviour of slice indexing.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("vecmath: Dot length mismatch")
@@ -30,14 +22,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// CheckedDot is Dot with an error return instead of a panic.
-func CheckedDot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, ErrLength
-	}
-	return Dot(a, b), nil
-}
-
 // Norm2 returns the Euclidean (ℓ2) norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
@@ -45,15 +29,6 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// Norm1 returns the ℓ1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // Cosine returns the cosine similarity of a and b, the δ(·,·) of paper
@@ -87,16 +62,6 @@ func Sub(dst, src []float64) {
 	}
 }
 
-// AddScaled accumulates alpha*src into dst: dst[i] += alpha*src[i].
-func AddScaled(dst []float64, alpha float64, src []float64) {
-	if len(dst) != len(src) {
-		panic("vecmath: AddScaled length mismatch")
-	}
-	for i, v := range src {
-		dst[i] += alpha * v
-	}
-}
-
 // Scale multiplies v in place by alpha.
 func Scale(v []float64, alpha float64) {
 	for i := range v {
@@ -127,33 +92,6 @@ func ArgMax(v []float64) int {
 	return best
 }
 
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Variance returns the population variance of v, or 0 for slices shorter
-// than one element.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
 // MSE returns the mean squared error between a and b.
 func MSE(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -180,78 +118,6 @@ func PSNR(ref, recon []float64, peak float64) float64 {
 		return math.Inf(1)
 	}
 	return 10 * math.Log10(peak*peak/mse)
-}
-
-// FoldedNormalMean returns E|X| for X ~ N(mu, sigma^2), the folded normal
-// mean of paper Eq. 11.
-func FoldedNormalMean(mu, sigma float64) float64 {
-	if sigma == 0 {
-		return math.Abs(mu)
-	}
-	return sigma*math.Sqrt(2/math.Pi)*math.Exp(-mu*mu/(2*sigma*sigma)) +
-		mu*(1-2*NormalCDF(-mu/sigma))
-}
-
-// NormalCDF returns the standard normal cumulative distribution function
-// Φ(x), computed from the error function.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the values in v using
-// linear interpolation on a sorted copy. It is used to pick biased
-// quantization thresholds. An empty input returns 0.
-func Quantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := Clone(v)
-	insertionSortOrHeap(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// insertionSortOrHeap sorts s ascending. Heapsort keeps worst-case O(n log n)
-// without importing sort (which would also be fine, but this keeps Quantile
-// allocation-free beyond the clone).
-func insertionSortOrHeap(s []float64) {
-	n := len(s)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(s, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		s[0], s[i] = s[i], s[0]
-		siftDown(s, 0, i)
-	}
-}
-
-func siftDown(s []float64, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && s[child+1] > s[child] {
-			child++
-		}
-		if s[root] >= s[child] {
-			return
-		}
-		s[root], s[child] = s[child], s[root]
-		root = child
-	}
 }
 
 // AbsRank returns the indices of v ordered by ascending |v[i]|. It is the

@@ -3,7 +3,6 @@ package vecmath
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -41,23 +40,10 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestCheckedDot(t *testing.T) {
-	if _, err := CheckedDot([]float64{1}, []float64{1, 2}); err != ErrLength {
-		t.Errorf("CheckedDot error = %v, want ErrLength", err)
-	}
-	got, err := CheckedDot([]float64{2, 3}, []float64{4, 5})
-	if err != nil || got != 23 {
-		t.Errorf("CheckedDot = %v, %v; want 23, nil", got, err)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	v := []float64{3, -4}
 	if got := Norm2(v); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := Norm1(v); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
 	}
 	if got := Norm2(nil); got != 0 {
 		t.Errorf("Norm2(nil) = %v, want 0", got)
@@ -119,13 +105,6 @@ func TestAddSubScaled(t *testing.T) {
 			t.Fatalf("Sub: dst = %v, want zeros", dst)
 		}
 	}
-	AddScaled(dst, 2, []float64{1, 2, 3})
-	want = []float64{2, 4, 6}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("AddScaled: dst = %v, want %v", dst, want)
-		}
-	}
 }
 
 func TestScaleClone(t *testing.T) {
@@ -158,19 +137,6 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	if got := Mean(v); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Variance(v); !almostEqual(got, 1.25, 1e-12) {
-		t.Errorf("Variance = %v, want 1.25", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("Mean/Variance of empty should be 0")
-	}
-}
-
 func TestMSEAndPSNR(t *testing.T) {
 	a := []float64{0, 1, 0, 1}
 	b := []float64{0, 1, 0, 1}
@@ -191,88 +157,6 @@ func TestMSEAndPSNR(t *testing.T) {
 	// Larger peak raises PSNR: peak 255, MSE 1 → 20*log10(255) ≈ 48.13.
 	if got := PSNR(a, c, 255); !almostEqual(got, 48.1308, 1e-3) {
 		t.Errorf("PSNR(peak 255) = %v, want ≈48.13", got)
-	}
-}
-
-func TestFoldedNormalMean(t *testing.T) {
-	// Zero-mean case reduces to sigma*sqrt(2/pi) — the form used in Eq. 11.
-	sigma := 3.0
-	want := sigma * math.Sqrt(2/math.Pi)
-	if got := FoldedNormalMean(0, sigma); !almostEqual(got, want, 1e-12) {
-		t.Errorf("FoldedNormalMean(0,%v) = %v, want %v", sigma, got, want)
-	}
-	// Degenerate sigma.
-	if got := FoldedNormalMean(-2, 0); got != 2 {
-		t.Errorf("FoldedNormalMean(-2,0) = %v, want 2", got)
-	}
-	// Large |mu|/sigma: folded mean approaches |mu|.
-	if got := FoldedNormalMean(100, 1); !almostEqual(got, 100, 1e-6) {
-		t.Errorf("FoldedNormalMean(100,1) = %v, want ≈100", got)
-	}
-}
-
-func TestFoldedNormalMeanMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	const n = 200000
-	mu, sigma := 1.5, 2.0
-	var s float64
-	for i := 0; i < n; i++ {
-		s += math.Abs(mu + sigma*rng.NormFloat64())
-	}
-	emp := s / n
-	if got := FoldedNormalMean(mu, sigma); !almostEqual(got, emp, 0.02) {
-		t.Errorf("FoldedNormalMean = %v, Monte Carlo = %v", got, emp)
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	if got := NormalCDF(0); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("NormalCDF(0) = %v, want 0.5", got)
-	}
-	if got := NormalCDF(1.96); !almostEqual(got, 0.975, 1e-3) {
-		t.Errorf("NormalCDF(1.96) = %v, want ≈0.975", got)
-	}
-	if got := NormalCDF(-8); got > 1e-10 {
-		t.Errorf("NormalCDF(-8) = %v, want ≈0", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	v := []float64{4, 1, 3, 2}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {-1, 1}, {2, 4},
-	}
-	for _, tt := range tests {
-		if got := Quantile(v, tt.q); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(empty) = %v, want 0", got)
-	}
-	// Quantile must not mutate its input.
-	if v[0] != 4 || v[1] != 1 {
-		t.Errorf("Quantile mutated input: %v", v)
-	}
-}
-
-func TestQuantileMatchesSort(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		n := 1 + rng.IntN(100)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		s := Clone(v)
-		sort.Float64s(s)
-		return Quantile(v, 0) == s[0] && Quantile(v, 1) == s[n-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
